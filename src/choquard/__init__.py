@@ -59,7 +59,6 @@ from .riesz import (
 )
 from .extremals import (
     AsymptoticTable,
-    BubbleSpec,
     MarginReport,
     SharpConstants,
     asymptotic_suite,

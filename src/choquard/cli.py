@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from .errors import (
     ConfigError,
     DegenerateFieldError,
     InvalidParameterError,
+    parse_value,
+    require_keys,
 )
 from .extremals import (
     THRESHOLD_CASES,
@@ -32,7 +35,7 @@ from .extremals import (
     sharp_constants,
     threshold_check,
 )
-from .functionals import Params
+from .functionals import Params, breakdown
 from .grid import (
     RadialField,
     RadialGrid,
@@ -60,6 +63,7 @@ EXIT_INVALID = 3
 EXIT_IO = 4
 
 PARALLELISM_ENV = "CHOQUARD_PARALLELISM"
+SWEEP_AXES = ("p", "q", "mu", "lambda")
 
 
 def _dump_json(obj, path: Path | None, stream=None) -> None:
@@ -70,15 +74,6 @@ def _dump_json(obj, path: Path | None, stream=None) -> None:
         stream.write(text + "\n")
 
 
-def _require_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     params: Params
@@ -87,6 +82,7 @@ class RunConfig:
     init: str
     output_dir: Path
     seed: int
+    sweep: object = None  # the raw "sweep" section; only cmd_sweep reads it
 
     def build_grid(self) -> RadialGrid:
         gs = self.grid_spec
@@ -101,35 +97,33 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration document (strict keys)."""
+    """Parse and validate a run configuration document (strict keys).
+
+    Raises ConfigError for a malformed document and InvalidParameterError
+    for values outside their admissible ranges.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
-    _require_keys(doc, {"params", "grid", "solve", "output_dir", "seed", "sweep"}, {"params"}, "config")
-
-    psec = doc["params"]
-    _require_keys(psec, {"N", "alpha", "p", "q", "mu", "lambda"}, {"N", "alpha", "p", "q", "mu", "lambda"}, "params")
-    params = Params(
-        N=int(psec["N"]), alpha=float(psec["alpha"]), p=float(psec["p"]),
-        q=float(psec["q"]), mu=float(psec["mu"]), lam=float(psec["lambda"]),
+    doc = require_keys(
+        doc, {"params", "grid", "solve", "output_dir", "seed", "sweep"}, {"params"}, "config"
     )
+    params = Params.from_dict(doc["params"])
 
-    gsec = dict(doc.get("grid", {}))
-    _require_keys(gsec, {"rmax", "M", "scheme", "gamma"}, set(), "grid")
+    gsec = require_keys(doc.get("grid", {}), {"rmax", "M", "scheme", "gamma"}, set(), "grid")
     grid_spec = {
-        "rmax": float(gsec.get("rmax", 30.0)),
-        "M": int(gsec.get("M", 1024)),
+        "rmax": parse_value(float, gsec.get("rmax", 30.0), "grid.rmax"),
+        "M": parse_value(int, gsec.get("M", 1024), "grid.M"),
         "scheme": gsec.get("scheme", "graded"),
-        "gamma": float(gsec.get("gamma", 2.0)),
+        "gamma": parse_value(float, gsec.get("gamma", 2.0), "grid.gamma"),
     }
 
-    ssec = dict(doc.get("solve", {}))
-    _require_keys(
-        ssec,
+    ssec = require_keys(
+        doc.get("solve", {}),
         {"step", "backtrack", "tol_residual", "max_iter", "enforce_nonneg", "continuation", "init"},
         set(),
         "solve",
@@ -140,8 +134,8 @@ def load_config(path: str | Path) -> RunConfig:
     cont = ssec.pop("continuation", None)
     spec = None
     if cont is not None:
-        _require_keys(cont, {"target", "steps"}, {"target", "steps"}, "solve.continuation")
-        spec = ContinuationSpec(cont["target"], int(cont["steps"]))
+        cont = require_keys(cont, {"target", "steps"}, {"target", "steps"}, "solve.continuation")
+        spec = ContinuationSpec(cont["target"], parse_value(int, cont["steps"], "continuation.steps"))
     try:
         opts = SolveOptions(continuation=spec, **ssec)
     except TypeError as exc:
@@ -152,9 +146,46 @@ def load_config(path: str | Path) -> RunConfig:
         grid_spec=grid_spec,
         solve=opts,
         init=init,
-        output_dir=Path(doc.get("output_dir", ".")),
-        seed=int(doc.get("seed", 0)),
+        output_dir=parse_value(Path, doc.get("output_dir", "."), "output_dir"),
+        seed=parse_value(int, doc.get("seed", 0), "seed"),
+        sweep=doc.get("sweep"),
     )
+
+
+def load_report(path: str | Path) -> SolveReport:
+    """Rebuild a stored solve report from report.json and the profile CSV
+    it names; J, P, nehari, linf and the half-mass radius are recomputed.
+
+    Raises ConfigError for a malformed report and OSError when the profile
+    cannot be read.
+    """
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read report: {exc}") from exc
+    doc = require_keys(
+        doc, None, {"params", "profile_csv_path", "residual_norm", "iterations", "status"}, "report"
+    )
+    params = Params.from_dict(doc["params"])
+    csv_name = doc["profile_csv_path"]
+    if not isinstance(csv_name, str):
+        raise ConfigError(f"profile_csv_path must be a string, got {csv_name!r}")
+    try:
+        r, u = read_profile_csv(path.parent / csv_name)
+        field = RadialField(grid_from_nodes(params.N, r), u)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot parse profile {csv_name!r}: {exc}") from exc
+    return SolveReport(
+        field, params, breakdown(field, params),
+        residual_norm=parse_value(float, doc["residual_norm"], "residual_norm"),
+        iterations=parse_value(int, doc["iterations"], "iterations"),
+        status=doc["status"],
+    )
+
+
+def _float_list(text: str, flag: str) -> list[float]:
+    return [parse_value(float, tok, flag) for tok in text.split(",") if tok]
 
 
 def _write_report(report: SolveReport, out_dir: Path) -> None:
@@ -210,85 +241,67 @@ def cmd_continue(args) -> int:
 
 def cmd_threshold(args) -> int:
     config = load_config(args.config)
-    family = [float(tok) for tok in args.family.split(",") if tok]
+    family = _float_list(args.family, "--family")
     report = threshold_check(config.params, args.case, family, num_nodes=args.nodes)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(report.to_dict(), config.output_dir / "margins.json", sys.stdout)
     return EXIT_OK
 
 
-def _sweep_cell(payload) -> dict:
-    base_doc, cell, cell_dir = payload
-    params = Params(
-        N=base_doc["N"], alpha=base_doc["alpha"],
-        p=cell["p"], q=cell["q"], mu=cell["mu"], lam=cell["lambda"],
-    )
-    grid = build_grid(
-        params.N, base_doc["rmax"], base_doc["M"],
-        scheme=base_doc["scheme"], gamma=base_doc["gamma"],
-    )
-    opts = SolveOptions(**base_doc["solve"])
-    row = dict(cell)
+def _sweep_cell(config: RunConfig) -> dict:
+    """Solve one sweep cell; a solve error becomes the row's status."""
+    params = config.params.to_dict()
+    row = {k: params[k] for k in SWEEP_AXES}
+    grid = config.build_grid()
     try:
-        report = ground_state(params, default_initial_guess(grid), opts)
-        _write_report(report, Path(cell_dir))
+        report = ground_state(config.params, default_initial_guess(grid), config.solve)
+        _write_report(report, config.output_dir)
         row.update(J=report.J, status=report.status, residual=report.residual_norm)
     except ChoquardError as exc:
         row.update(J=math.nan, status=f"error: {exc}", residual=math.nan)
     return row
 
 
-def cmd_sweep(args) -> int:
-    config_doc = json.loads(Path(args.config).read_text())
-    config = load_config(args.config)
-    sweep = config_doc.get("sweep")
-    if not sweep:
+def sweep_plan(config: RunConfig) -> tuple[dict[str, dict], int]:
+    """The distinct (p, q, mu, lambda) cells of the config's sweep section,
+    keyed by digest, and the number of worker processes."""
+    if not config.sweep:
         raise ConfigError("sweep command needs a 'sweep' section")
-    _require_keys(sweep, {"p", "q", "mu", "lambda", "parallelism"}, set(), "sweep")
-    axes = {
-        "p": sweep.get("p", [config.params.p]),
-        "q": sweep.get("q", [config.params.q]),
-        "mu": sweep.get("mu", [config.params.mu]),
-        "lambda": sweep.get("lambda", [config.params.lam]),
-    }
-    cells = []
-    seen = set()
-    for p in axes["p"]:
-        for q in axes["q"]:
-            for mu in axes["mu"]:
-                for lam in axes["lambda"]:
-                    cell = {"p": float(p), "q": float(q), "mu": float(mu), "lambda": float(lam)}
-                    digest = hashlib.sha256(
-                        json.dumps(cell, sort_keys=True).encode()
-                    ).hexdigest()[:16]
-                    if digest in seen:
-                        continue
-                    seen.add(digest)
-                    cells.append((cell, digest))
+    sweep = require_keys(config.sweep, {*SWEEP_AXES, "parallelism"}, set(), "sweep")
+    base = config.params.to_dict()
+    axes = [parse_value(list, sweep.get(k, [base[k]]), f"sweep.{k}") for k in SWEEP_AXES]
+    cells = {}
+    for values in itertools.product(*axes):
+        cell = {k: parse_value(float, v, f"sweep.{k}") for k, v in zip(SWEEP_AXES, values)}
+        digest = hashlib.sha256(json.dumps(cell, sort_keys=True).encode()).hexdigest()[:16]
+        cells.setdefault(digest, cell)
     if not cells:
         raise ConfigError("sweep grid is empty")
+    workers = parse_value(int, os.environ.get(PARALLELISM_ENV, 0), PARALLELISM_ENV) or (
+        parse_value(int, sweep.get("parallelism", 1), "sweep.parallelism")
+    )
+    return cells, workers
 
+
+def cmd_sweep(args) -> int:
+    config = load_config(args.config)
+    cells, workers = sweep_plan(config)
+    base = config.params.to_dict()
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    base_doc = {
-        "N": config.params.N, "alpha": config.params.alpha,
-        "rmax": config.grid_spec["rmax"], "M": config.grid_spec["M"],
-        "scheme": config.grid_spec["scheme"], "gamma": config.grid_spec["gamma"],
-        "solve": {
-            "step": config.solve.step, "backtrack": config.solve.backtrack,
-            "tol_residual": config.solve.tol_residual, "max_iter": config.solve.max_iter,
-            "enforce_nonneg": config.solve.enforce_nonneg,
-        },
-    }
-    payloads = [
-        (base_doc, cell, str(out / f"cell_{digest}")) for cell, digest in cells
-    ]
-    workers = int(os.environ.get(PARALLELISM_ENV, 0)) or int(sweep.get("parallelism", 1))
+    rows, jobs = [], []
+    for digest, cell in cells.items():
+        try:
+            params = Params.from_dict({**base, **cell})
+        except InvalidParameterError as exc:
+            rows.append({**cell, "J": math.nan, "status": f"error: {exc}", "residual": math.nan})
+            continue
+        jobs.append(replace(config, params=params, output_dir=out / f"cell_{digest}"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, payloads))
+            rows += pool.map(_sweep_cell, jobs)
     else:
-        rows = [_sweep_cell(pl) for pl in payloads]
+        rows += map(_sweep_cell, jobs)
 
     rows.sort(key=lambda r: (r["p"], r["q"], r["mu"], r["lambda"]))
     with open(out / "summary.csv", "w", newline="") as fh:
@@ -304,39 +317,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        doc = json.loads(Path(args.report).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read report: {exc}") from exc
-    report_dir = Path(args.report).parent
-    profile_path = report_dir / doc["profile_csv_path"]
-    r, u = read_profile_csv(profile_path)
-    psec = doc["params"]
-    params = Params(
-        N=int(psec["N"]), alpha=psec["alpha"], p=psec["p"], q=psec["q"],
-        mu=psec["mu"], lam=psec["lambda"],
-    )
-    grid = grid_from_nodes(params.N, r)
-    field = RadialField(grid, u)
-
-    from .functionals import breakdown, energy_of, nehari_of, pohozaev_of
-    from .solver import half_mass_radius
-
-    bd = breakdown(field, params)
-    report = SolveReport(
-        profile=field, params=params, breakdown=bd,
-        J=energy_of(bd, params), P=pohozaev_of(bd, params), nehari=nehari_of(bd, params),
-        residual_norm=doc["residual_norm"], iterations=doc["iterations"],
-        linf=float(np.max(np.abs(u))), half_mass_radius=half_mass_radius(field),
-        status=doc["status"],
-    )
-    verification = run_verification(report)
-    _dump_json(verification.to_dict(), report_dir / "verification.json", sys.stdout)
+    verification = run_verification(load_report(args.report))
+    _dump_json(verification.to_dict(), Path(args.report).parent / "verification.json", sys.stdout)
     return EXIT_OK if verification.overall else EXIT_DICHOTOMY
 
 
 def cmd_bubble(args) -> int:
-    eps_list = [float(tok) for tok in args.eps.split(",") if tok]
+    eps_list = _float_list(args.eps, "--eps")
     table = asymptotic_suite(args.N, args.alpha, args.p, args.q, eps_list, num_nodes=args.nodes)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -385,8 +372,14 @@ def cmd_hls_check(args) -> int:
     return EXIT_OK if result["bound_holds"] and result["near_extremal"] else EXIT_DICHOTOMY
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A malformed command line is invalid input like any other (exit 3)."""
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="choquard",
         description="Ground states and variational checks for Choquard equations",
     )
@@ -446,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, InvalidParameterError, DegenerateFieldError, CaseMismatchError) as exc:
         _dump_json({"error": str(exc), "kind": type(exc).__name__}, None, sys.stderr)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that refuse a
+malformed input document with ConfigError."""
 
 
 class ChoquardError(Exception):
@@ -35,4 +36,30 @@ class NonMonotoneMarginError(ChoquardError, RuntimeError):
 
 
 class ConfigError(ChoquardError, ValueError):
-    """A run configuration document is malformed or has unknown keys."""
+    """A configuration, report or command-line value is malformed or has unknown keys."""
+
+
+def require_keys(section, allowed: set[str] | None, required: set[str], where: str) -> dict:
+    """section as a dict whose keys lie in allowed (any, if None) and cover required.
+
+    Raises ConfigError when section is not a JSON object or its keys are off.
+    """
+    try:
+        section = dict(section)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a JSON object") from exc
+    unknown = set(section) - allowed if allowed is not None else set()
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
+    missing = required - set(section)
+    if missing:
+        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+    return section
+
+
+def parse_value(conv, value, where: str):
+    """conv(value), with a failed conversion raised as ConfigError."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {where}: {value!r}") from exc

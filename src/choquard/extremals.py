@@ -27,12 +27,11 @@ from .errors import (
     InvalidParameterError,
     NonMonotoneMarginError,
 )
-from .functionals import Params, breakdown, fiber_energy_of, project_tau
+from .functionals import Params, breakdown, reduced_energy
 from .grid import RadialField, RadialGrid, build_grid, grad_sq, lp_norm
 
 __all__ = [
     "SharpConstants",
-    "BubbleSpec",
     "talenti",
     "cutoff_bubble",
     "pekar_extremal",
@@ -46,9 +45,15 @@ __all__ = [
     "SearchResult",
     "critical_parameter_search",
     "THRESHOLD_CASES",
+    "UPPER_CORNER",
+    "critical_case",
 ]
 
 THRESHOLD_CASES = ("upper-critical-p", "lower-critical-p", "critical-q", "doubly-critical")
+# p and q both upper-critical: no threshold lemma covers this corner
+UPPER_CORNER = "upper-critical-p-and-q"
+# exponent distance treated as "at" a critical value by threshold_check
+CASE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,21 +92,6 @@ class SharpConstants:
         }
 
 
-@dataclass(frozen=True)
-class BubbleSpec:
-    """Concentration-family descriptor: cutoff plateau B_1, support B_2."""
-
-    dimension: int
-    alpha: float
-    epsilon: float
-    inner_radius: float = 1.0
-    outer_radius: float = 2.0
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidParameterError("epsilon must be positive")
-
-
 def _talenti_values(r: np.ndarray, epsilon: float, dimension: int) -> np.ndarray:
     n = dimension
     amp = (n * (n - 2) * epsilon**2) ** ((n - 2) / 4.0)
@@ -136,18 +126,22 @@ _pekar_amplitude_cache: "weakref.WeakKeyDictionary[RadialGrid, dict[float, float
 )
 
 
+def _lower_critical_breakdown(grid: RadialGrid, alpha: float):
+    """Integrals of V = (1+r^2)^{-N/2} at the lower-critical p, and that p."""
+    n = grid.dimension
+    p_low = (n + alpha) / n
+    q_mid = 0.5 * (2.0 + 2.0 * n / (n - 2.0))  # any admissible q; unused
+    v = RadialField(grid, (1.0 + grid.nodes**2) ** (-n / 2.0))
+    return breakdown(v, Params(N=n, alpha=alpha, p=p_low, q=q_mid)), p_low
+
+
 def _pekar_amplitude(grid: RadialGrid, alpha: float) -> float:
     """Amplitude A normalizing int (I_a * |V|^p_) |V|^p_ to one."""
     per_grid = _pekar_amplitude_cache.setdefault(grid, {})
     amp = per_grid.get(alpha)
     if amp is None:
-        n = grid.dimension
-        p_low = (n + alpha) / n
-        base = RadialField(grid, (1.0 + grid.nodes**2) ** (-n / 2.0))
-        q_mid = 0.5 * (2.0 + 2.0 * n / (n - 2.0))  # any admissible q; unused
-        params = Params(N=n, alpha=alpha, p=p_low, q=q_mid, mu=1.0, lam=1.0)
-        raw = breakdown(base, params).nonlocal_term
-        amp = raw ** (-1.0 / (2.0 * p_low))
+        bd, p_low = _lower_critical_breakdown(grid, alpha)
+        amp = bd.nonlocal_term ** (-1.0 / (2.0 * p_low))
         per_grid[alpha] = amp
     return amp
 
@@ -195,12 +189,7 @@ def _sobolev_constant(dimension: int) -> float:
 def _lower_critical_constant(dimension: int, alpha: float) -> float:
     """S_1 from the quotient of the lower-critical extremal profile."""
     grid = build_grid(dimension, 30.0, 1024, scheme="graded")
-    n = dimension
-    p_low = (n + alpha) / n
-    v = RadialField(grid, (1.0 + grid.nodes**2) ** (-n / 2.0))
-    q_mid = 0.5 * (2.0 + 2.0 * n / (n - 2.0))
-    params = Params(N=n, alpha=alpha, p=p_low, q=q_mid)
-    bd = breakdown(v, params)
+    bd, p_low = _lower_critical_breakdown(grid, alpha)
     return bd.mass / bd.nonlocal_term ** (1.0 / p_low)
 
 
@@ -397,19 +386,11 @@ class MarginReport:
     families: dict
     inconclusive: bool
     positive_margin_found: bool
-    margins_increasing: bool
 
     def to_dict(self) -> dict:
         return {
             "case": self.case,
-            "params": {
-                "N": self.params.N,
-                "alpha": self.params.alpha,
-                "p": self.params.p,
-                "q": self.params.q,
-                "mu": self.params.mu,
-                "lambda": self.params.lam,
-            },
+            "params": self.params.to_dict(),
             "thresholds": {
                 k: (v if math.isfinite(v) else None) for k, v in self.thresholds.items()
             },
@@ -422,7 +403,6 @@ class MarginReport:
             },
             "inconclusive": self.inconclusive,
             "positive_margin_found": self.positive_margin_found,
-            "margins_increasing": self.margins_increasing,
         }
 
 
@@ -452,24 +432,25 @@ def threshold_value(case: str, params: Params, constants: SharpConstants) -> dic
     return {"lower_critical": lower, "sobolev": sobolev}
 
 
-def _validate_case(case: str, params: Params) -> None:
-    if case not in THRESHOLD_CASES:
-        raise CaseMismatchError(f"unknown threshold case {case!r}")
-    tol = 1e-9
+def critical_case(params: Params, tol: float) -> str | None:
+    """The critical case of params, counting an exponent within tol of its
+    critical value as critical.
+
+    One of THRESHOLD_CASES, UPPER_CORNER when p and q are both
+    upper-critical, or None when both are subcritical.
+    """
     at_p_upper = abs(params.p - params.p_upper) <= tol
     at_p_lower = abs(params.p - params.p_lower) <= tol
     at_q_upper = abs(params.q - params.q_upper) <= tol
-    wants = {
-        "upper-critical-p": at_p_upper and not at_q_upper,
-        "lower-critical-p": at_p_lower and not at_q_upper,
-        "critical-q": at_q_upper and not (at_p_upper or at_p_lower),
-        "doubly-critical": at_p_lower and at_q_upper,
-    }
-    if not wants[case]:
-        raise CaseMismatchError(
-            f"params (p={params.p}, q={params.q}) do not sit at the critical "
-            f"exponents of case {case!r}"
-        )
+    if at_p_lower and at_q_upper:
+        return "doubly-critical"
+    if at_p_upper:
+        return UPPER_CORNER if at_q_upper else "upper-critical-p"
+    if at_p_lower:
+        return "lower-critical-p"
+    if at_q_upper:
+        return "critical-q"
+    return None
 
 
 def classify_margins(margins: list[float], threshold: float) -> dict:
@@ -477,11 +458,9 @@ def classify_margins(margins: list[float], threshold: float) -> dict:
     tol = 1e-9 * max(abs(threshold), 1.0)
     inconclusive = any(abs(m) <= tol for m in margins)
     positive = any(m > tol for m in margins)
-    increasing = all(b > a for a, b in zip(margins, margins[1:]))
     return {
         "inconclusive": inconclusive,
         "positive_margin_found": positive and not inconclusive,
-        "margins_increasing": increasing,
     }
 
 
@@ -499,7 +478,13 @@ def threshold_check(
     minus sup.  A positive margin certifies the strict level inequality of
     the corresponding existence lemma.
     """
-    _validate_case(case, params)
+    if case not in THRESHOLD_CASES:
+        raise CaseMismatchError(f"unknown threshold case {case!r}")
+    if critical_case(params, CASE_TOL) != case:
+        raise CaseMismatchError(
+            f"params (p={params.p}, q={params.q}) do not sit at the critical "
+            f"exponents of case {case!r}"
+        )
     if not family_values:
         raise InvalidParameterError("need at least one family parameter")
     if constants is None:
@@ -507,32 +492,20 @@ def threshold_check(
     thresholds = threshold_value(case, params, constants)
 
     families: dict[str, list[MarginRow]] = {}
-
-    def sup_of(u: RadialField) -> float:
-        bd = breakdown(u, params)
-        return fiber_energy_of(bd, project_tau(bd, params), params)
-
-    if case in ("upper-critical-p", "critical-q"):
-        key = "upper_critical" if case == "upper-critical-p" else "sobolev"
-        grid = build_grid(params.N, 4.0, num_nodes, scheme="graded")
-        rows = []
-        for eps in family_values:
-            sup = sup_of(cutoff_bubble(grid, eps))
-            rows.append(MarginRow(eps, sup, thresholds[key] - sup))
-        families["bubble"] = rows
     if case in ("lower-critical-p", "doubly-critical"):
         grid = build_grid(params.N, 30.0, num_nodes, scheme="graded")
         rows = []
         for delta in family_values:
-            sup = sup_of(pekar_extremal(grid, delta, params.alpha))
+            sup = reduced_energy(pekar_extremal(grid, delta, params.alpha), params)
             rows.append(MarginRow(delta, sup, thresholds["lower_critical"] - sup))
         families["pekar"] = rows
-    if case == "doubly-critical":
+    if case != "lower-critical-p":
+        key = "upper_critical" if case == "upper-critical-p" else "sobolev"
         grid = build_grid(params.N, 4.0, num_nodes, scheme="graded")
         rows = []
         for eps in family_values:
-            sup = sup_of(cutoff_bubble(grid, eps))
-            rows.append(MarginRow(eps, sup, thresholds["sobolev"] - sup))
+            sup = reduced_energy(cutoff_bubble(grid, eps), params)
+            rows.append(MarginRow(eps, sup, thresholds[key] - sup))
         families["bubble"] = rows
 
     verdicts = {
@@ -546,7 +519,6 @@ def threshold_check(
         families=families,
         inconclusive=any(v["inconclusive"] for v in verdicts.values()),
         positive_margin_found=all(v["positive_margin_found"] for v in verdicts.values()),
-        margins_increasing=all(v["margins_increasing"] for v in verdicts.values()),
     )
 
 

@@ -18,13 +18,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DegenerateFieldError, InvalidParameterError
-from .grid import RadialField, grad_sq, h1_solve
-from .riesz import kernel_for, riesz_normalization
+from .errors import DegenerateFieldError, InvalidParameterError, parse_value, require_keys
+from .grid import RadialField, RadialGrid, grad_sq, h1_norm, h1_solve
+from .riesz import RieszKernel, kernel_for
 
 __all__ = [
     "Params",
     "EnergyBreakdown",
+    "integrals",
+    "residual_of",
     "breakdown",
     "energy",
     "energy_of",
@@ -71,10 +73,10 @@ class Params:
             )
         if not 2.0 < self.q <= self.q_upper + tol:
             raise InvalidParameterError(f"q={self.q} outside (2, {self.q_upper}] for N={self.N}")
-        if not self.mu > 0:
-            raise InvalidParameterError(f"mu must be positive, got {self.mu}")
-        if self.lam < 0:
-            raise InvalidParameterError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0.0 < self.mu < np.inf:
+            raise InvalidParameterError(f"mu must be positive and finite, got {self.mu}")
+        if not 0.0 <= self.lam < np.inf:
+            raise InvalidParameterError(f"lambda must be nonnegative and finite, got {self.lam}")
 
     @property
     def p_lower(self) -> float:
@@ -90,6 +92,26 @@ class Params:
 
     def with_(self, **kwargs) -> "Params":
         return replace(self, **kwargs)
+
+    def to_dict(self) -> dict:
+        """The params section of configs and reports; lam is keyed "lambda"."""
+        return {
+            "N": self.N, "alpha": self.alpha, "p": self.p,
+            "q": self.q, "mu": self.mu, "lambda": self.lam,
+        }
+
+    @classmethod
+    def from_dict(cls, section) -> "Params":
+        """Inverse of to_dict, every key required.
+
+        Raises ConfigError for a malformed section and InvalidParameterError
+        for values outside the admissible ranges.
+        """
+        keys = ("N", "alpha", "p", "q", "mu", "lambda")
+        section = require_keys(section, set(keys), set(keys), "params")
+        n = parse_value(int, section["N"], "params.N")
+        alpha, p, q, mu, lam = (parse_value(float, section[k], f"params.{k}") for k in keys[1:])
+        return cls(N=n, alpha=alpha, p=p, q=q, mu=mu, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -108,19 +130,44 @@ class EnergyBreakdown:
         return (self.kinetic, self.mass, self.nonlocal_term, self.local_term)
 
 
+def integrals(
+    values: np.ndarray, grid: RadialGrid, params: Params, kern: RieszKernel
+) -> tuple[EnergyBreakdown, np.ndarray]:
+    """The four integrals of the field with these nodal values, and the
+    potential I_a*|u|^p they share with the Euler-Lagrange right-hand side,
+    for one kernel product.
+    """
+    vw = grid.sphere_area * grid.volume_weights
+    f = np.abs(values) ** params.p
+    potential = kern.convolve(f)
+    a = grad_sq(RadialField(grid, values))
+    b = float(vw @ values**2)
+    c = float(vw @ (potential * f))
+    d = float(vw @ np.abs(values) ** params.q)
+    return EnergyBreakdown(a, b, max(c, 0.0), d), potential
+
+
+def residual_of(
+    values: np.ndarray, potential: np.ndarray, grid: RadialGrid, params: Params
+) -> tuple[np.ndarray, float]:
+    """Nodal values of the H^1-Riesz representative of J'(u), and its H^1 norm.
+
+    g = u - (-Lap + 1)^{-1} [mu (I_a*|u|^p)|u|^{p-2}u + lam |u|^{q-2}u],
+    so <g, w>_{H^1} = <J'(u), w> holds exactly in the discretization;
+    potential is the one integrals returns for the same values.
+    """
+    rhs = params.mu * potential * odd_power(values, params.p - 1.0)
+    rhs += params.lam * odd_power(values, params.q - 1.0)
+    g = values - h1_solve(RadialField(grid, rhs)).values
+    return g, h1_norm(RadialField(grid, g))
+
+
 def breakdown(u: RadialField, params: Params) -> EnergyBreakdown:
     """The four integrals of u at the given parameters."""
     g = u.grid
     if g.dimension != params.N:
         raise InvalidParameterError("grid dimension does not match params.N")
-    vw = g.sphere_area * g.volume_weights
-    a = grad_sq(u)
-    b = float(vw @ u.values**2)
-    f = np.abs(u.values) ** params.p
-    kern = kernel_for(g, params.alpha)
-    c = riesz_normalization(params.N, params.alpha) * kern.bilinear(f, f)
-    d = float(vw @ np.abs(u.values) ** params.q)
-    return EnergyBreakdown(a, b, max(c, 0.0), d)
+    return integrals(u.values, g, params, kernel_for(g, params.alpha))[0]
 
 
 def energy_of(bd: EnergyBreakdown, params: Params) -> float:
@@ -169,19 +216,10 @@ def odd_power(u: np.ndarray, exponent: float) -> np.ndarray:
 
 
 def gradient_residual(u: RadialField, params: Params) -> RadialField:
-    """H^1-Riesz representative of J'(u).
-
-    g = u - (-Lap + 1)^{-1} [mu (I_a*|u|^p)|u|^{p-2}u + lam |u|^{q-2}u],
-    so <g, w>_{H^1} = <J'(u), w> holds exactly in the discretization.
-    """
+    """H^1-Riesz representative of J'(u); see residual_of."""
     g = u.grid
-    kern = kernel_for(g, params.alpha)
-    f = np.abs(u.values) ** params.p
-    potential = kern.convolve(f)
-    rhs = params.mu * potential * odd_power(u.values, params.p - 1.0)
-    rhs += params.lam * odd_power(u.values, params.q - 1.0)
-    w = h1_solve(RadialField(g, rhs))
-    return RadialField(g, u.values - w.values)
+    _, potential = integrals(u.values, g, params, kernel_for(g, params.alpha))
+    return RadialField(g, residual_of(u.values, potential, g, params)[0])
 
 
 def dilate(u: RadialField, tau: float) -> RadialField:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,14 @@ from .functionals import (
     dilate,
     energy_of,
     fiber_energy_of,
+    integrals,
     nehari_of,
     odd_power,
     pohozaev_of,
     project_tau,
+    residual_of,
 )
-from .grid import RadialField, RadialGrid, grad_sq, h1_inner, h1_norm, h1_solve, sample
+from .grid import RadialField, RadialGrid, h1_inner, h1_norm, h1_solve, sample
 from .riesz import kernel_for
 
 __all__ = [
@@ -91,29 +94,40 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """Outcome of one solve.  J, P, nehari, linf and the half-mass radius
+    derive from the profile, its params and its breakdown."""
+
     profile: RadialField
     params: Params
     breakdown: EnergyBreakdown
-    J: float
-    P: float
-    nehari: float
     residual_norm: float
     iterations: int
-    linf: float
-    half_mass_radius: float
     status: str
+
+    @cached_property
+    def J(self) -> float:
+        return energy_of(self.breakdown, self.params)
+
+    @cached_property
+    def P(self) -> float:
+        return pohozaev_of(self.breakdown, self.params)
+
+    @cached_property
+    def nehari(self) -> float:
+        return nehari_of(self.breakdown, self.params)
+
+    @cached_property
+    def linf(self) -> float:
+        return float(np.max(np.abs(self.profile.values)))
+
+    @cached_property
+    def half_mass_radius(self) -> float:
+        return half_mass_radius(self.profile)
 
     def to_dict(self, profile_csv_path: str | None = None) -> dict:
         g = self.profile.grid
         d = {
-            "params": {
-                "N": self.params.N,
-                "alpha": self.params.alpha,
-                "p": self.params.p,
-                "q": self.params.q,
-                "mu": self.params.mu,
-                "lambda": self.params.lam,
-            },
+            "params": self.params.to_dict(),
             "grid": {"rmax": g.rmax, "M": g.node_count},
             "J": self.J,
             "P": self.P,
@@ -154,27 +168,6 @@ def half_mass_radius(u: RadialField) -> float:
 def default_initial_guess(grid: RadialGrid) -> RadialField:
     """Gaussian profile; positive with nondegenerate breakdown."""
     return sample(grid, lambda r: np.exp(-(r**2)))
-
-
-def _integrals(u_vals: np.ndarray, grid: RadialGrid, params: Params, kern) -> tuple:
-    """One kernel product shared between the breakdown and the Euler-Lagrange
-    right-hand side: returns (breakdown, potential I_a*|u|^p)."""
-    vw = grid.sphere_area * grid.volume_weights
-    f = np.abs(u_vals) ** params.p
-    potential = kern.convolve(f)
-    a = grad_sq(RadialField(grid, u_vals))
-    b = float(vw @ u_vals**2)
-    c = float(vw @ (potential * f))
-    d = float(vw @ np.abs(u_vals) ** params.q)
-    return EnergyBreakdown(a, b, max(c, 0.0), d), potential
-
-
-def _residual(u: np.ndarray, potential: np.ndarray, grid: RadialGrid, params: Params):
-    """H^1 gradient representative and its norm, reusing the potential."""
-    rhs = params.mu * potential * odd_power(u, params.p - 1.0)
-    rhs += params.lam * odd_power(u, params.q - 1.0)
-    g = u - h1_solve(RadialField(grid, rhs)).values
-    return g, h1_norm(RadialField(grid, g))
 
 
 def _lsq_direction(u, potential, g, grid, params: Params, kern) -> np.ndarray:
@@ -221,27 +214,23 @@ def ground_state(
     kern = kernel_for(grid, params.alpha)
 
     u = np.abs(init.values) if opts.enforce_nonneg else init.values.copy()
-    bd, potential = _integrals(u, grid, params, kern)
+    bd, potential = integrals(u, grid, params, kern)
     if bd.kinetic <= 0 or bd.nonlocal_term <= 0:
         raise DegenerateFieldError("initial field has degenerate kinetic or nonlocal term")
     tau = project_tau(bd, params)
     u = dilate(RadialField(grid, u), tau).values
-    bd, potential = _integrals(u, grid, params, kern)
+    bd, potential = integrals(u, grid, params, kern)
 
-    first = {
-        "h1": h1_norm(RadialField(grid, u)),
-        "linf": float(np.max(np.abs(u))),
-        "half": half_mass_radius(RadialField(grid, u)),
-    }
+    first = RadialField(grid, u)
 
     eta = opts.step
     iterations = 0
-    g_vals, residual = _residual(u, potential, grid, params)
+    g_vals, residual = residual_of(u, potential, grid, params)
 
     # Phase 1: projected descent on the manifold.  Stops once the iterate
     # is well inside the basin of the critical point (or at tolerance),
     # or when it stalls at the manifold's resampling floor.
-    switch = max(opts.tol_residual, 1e-4 * first["h1"])
+    switch = max(opts.tol_residual, 1e-4 * h1_norm(first))
     best_residual = residual
     since_progress = 0
     while iterations < opts.max_iter and residual > switch:
@@ -262,20 +251,20 @@ def ground_state(
                 raise NumericalFailureError(
                     "non-finite iterate", {"iteration": iterations, "step": eta}
                 )
-            bd_t, _ = _integrals(trial, grid, params, kern)
+            bd_t, _ = integrals(trial, grid, params, kern)
             if bd_t.kinetic > 0 and bd_t.nonlocal_term > 0:
                 tau = project_tau(bd_t, params)
                 J_new = fiber_energy_of(bd_t, tau, params)
                 if J_new <= J_cur - 1e-4 * eta * residual**2:
                     u = dilate(RadialField(grid, trial), tau).values
-                    bd, potential = _integrals(u, grid, params, kern)
+                    bd, potential = integrals(u, grid, params, kern)
                     accepted = True
                     break
             eta *= opts.backtrack
         if not accepted:
             break  # stagnated below representable step sizes
         eta = min(eta / math.sqrt(opts.backtrack), 64.0 * opts.step)
-        g_vals, residual = _residual(u, potential, grid, params)
+        g_vals, residual = residual_of(u, potential, grid, params)
         if residual < 0.99 * best_residual:
             best_residual = residual
             since_progress = 0
@@ -310,8 +299,8 @@ def ground_state(
                     raise NumericalFailureError(
                         "non-finite iterate", {"iteration": iterations, "step": step}
                     )
-                bd_t, pot_t = _integrals(trial, grid, params, kern)
-                g_t, res_t = _residual(trial, pot_t, grid, params)
+                bd_t, pot_t = integrals(trial, grid, params, kern)
+                g_t, res_t = residual_of(trial, pot_t, grid, params)
                 if res_t < residual:
                     u, potential, bd = trial, pot_t, bd_t
                     g_vals, residual = g_t, res_t
@@ -331,30 +320,8 @@ def ground_state(
     if residual <= opts.tol_residual and abs(P_val) <= 1e-5 * (bd.kinetic + bd.mass):
         status = "converged"
     else:
-        h1_now = h1_norm(profile)
-        if h1_now < VANISHING_FACTOR * first["h1"]:
-            status = "vanishing"
-        elif (
-            float(np.max(np.abs(u))) > CONCENTRATION_GROWTH * first["linf"]
-            and half_mass_radius(profile) < first["half"] / CONCENTRATION_SHRINK
-        ):
-            status = "concentrating"
-        else:
-            status = "max_iter"
-
-    return SolveReport(
-        profile=profile,
-        params=params,
-        breakdown=bd,
-        J=energy_of(bd, params),
-        P=P_val,
-        nehari=nehari_of(bd, params),
-        residual_norm=residual,
-        iterations=iterations,
-        linf=float(np.max(np.abs(u))),
-        half_mass_radius=half_mass_radius(profile),
-        status=status,
-    )
+        status = _dichotomy(first, profile) or "max_iter"
+    return SolveReport(profile, params, bd, residual, iterations, status)
 
 
 def _schedule(start: Params, target: str, steps: int) -> list[Params]:
@@ -422,14 +389,18 @@ def detect_dichotomy(reports: list[SolveReport]) -> str:
     concentrating from its endpoint metrics."""
     if not reports:
         raise InvalidParameterError("detect_dichotomy needs a nonempty report list")
-    first, last = reports[0], reports[-1]
-    h1_first = h1_norm(first.profile)
-    h1_last = h1_norm(last.profile)
-    if h1_last < VANISHING_FACTOR * h1_first:
+    return _dichotomy(reports[0].profile, reports[-1].profile) or "converged"
+
+
+def _dichotomy(first: RadialField, last: RadialField) -> str | None:
+    """The dichotomy rule: "vanishing" when the H^1 norm of last collapsed
+    relative to first, "concentrating" when its sup norm blew up while its
+    half-mass radius shrank, None otherwise."""
+    if h1_norm(last) < VANISHING_FACTOR * h1_norm(first):
         return "vanishing"
     if (
-        last.linf > CONCENTRATION_GROWTH * first.linf
-        and last.half_mass_radius < first.half_mass_radius / CONCENTRATION_SHRINK
+        np.max(np.abs(last.values)) > CONCENTRATION_GROWTH * np.max(np.abs(first.values))
+        and half_mass_radius(last) < half_mass_radius(first) / CONCENTRATION_SHRINK
     ):
         return "concentrating"
-    return "converged"
+    return None

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import InvalidParameterError
-from .extremals import SharpConstants, sharp_constants, threshold_value
+from .extremals import UPPER_CORNER, SharpConstants, critical_case, sharp_constants, threshold_value
 from .functionals import Params, breakdown, fiber_energy_of, pohozaev_of
 from .grid import RadialField, lp_norm
 from .solver import SolveReport
@@ -135,27 +135,14 @@ def check_positivity_monotonicity(u: RadialField) -> CheckResult:
     return CheckResult("positivity_monotonicity", measured, RIPPLE_TOL * max(peak, 1e-300), ok)
 
 
-def _critical_case(params: Params) -> str | None:
-    at_p_upper = abs(params.p - params.p_upper) <= CRITICAL_GAP
-    at_p_lower = abs(params.p - params.p_lower) <= CRITICAL_GAP
-    at_q_upper = abs(params.q - params.q_upper) <= CRITICAL_GAP
-    if at_p_lower and at_q_upper:
-        return "doubly-critical"
-    if at_p_upper:
-        return "upper-critical-p"
-    if at_p_lower:
-        return "lower-critical-p"
-    if at_q_upper:
-        return "critical-q"
-    return None
-
-
 def check_level_window(report: SolveReport, constants: SharpConstants | None = None) -> CheckResult:
     """0 < J, and J below the applicable lemma threshold near criticality."""
     params = report.params
-    case = _critical_case(params)
+    case = critical_case(params, CRITICAL_GAP)
     if case is None:
         return CheckResult("level_window", report.J, math.inf, report.J > 0.0, "subcritical: J > 0 only")
+    if case == UPPER_CORNER:
+        case = "upper-critical-p"  # no lemma covers the corner; checked as upper-critical p
     if constants is None:
         constants = sharp_constants(params.N, params.alpha)
     bound = min(threshold_value(case, params, constants).values())

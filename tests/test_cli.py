@@ -227,3 +227,42 @@ class TestBubbleAndHls:
         doc = json.loads(out.read_text())
         assert doc["bound_holds"] is True
         assert doc["near_extremal"] is True
+
+
+class TestMalformedInput:
+    """Each malformed config, report or argument exits 3 with a JSON error."""
+
+    @pytest.mark.parametrize(
+        "command, document, extra",
+        [
+            pytest.param("sweep", "{not json", [], id="sweep-invalid-json"),
+            pytest.param(
+                "verify",
+                {"params": {"N": 3, "alpha": 2.0, "p": 2.0, "q": 3.0, "mu": 1.0, "lambda": 1.0},
+                 "residual_norm": 1e-7, "iterations": 1, "status": "converged"},
+                [], id="report-without-profile-path",
+            ),
+            pytest.param("solve", {"grid": {"M": "abc"}}, [], id="grid-M-not-a-number"),
+            pytest.param("solve", {"params": {"lambda": None}}, [], id="lambda-null"),
+            pytest.param("solve", 5, [], id="top-level-number"),
+            pytest.param("sweep", {"sweep": {"p": ["x"]}}, [], id="sweep-axis-not-a-number"),
+            pytest.param(
+                "threshold", {}, ["--case", "upper-critical-p", "--family", "0.25,x"],
+                id="family-not-a-number",
+            ),
+            pytest.param(
+                "threshold", {}, ["--case", "upper-critical-p", "--family", "0.25", "--nodes", "x"],
+                id="option-not-a-number",
+            ),
+        ],
+    )
+    def test_exit_3_with_json_error(self, tmp_path, capsys, command, document, extra):
+        path = tmp_path / "input.json"
+        if isinstance(document, dict) and command != "verify":
+            write_config(path, tmp_path / "out", **document)
+        else:
+            path.write_text(document if isinstance(document, str) else json.dumps(document))
+        flag = "--report" if command == "verify" else "--config"
+        assert main([command, flag, str(path), *extra]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "ConfigError"

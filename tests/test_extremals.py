@@ -16,8 +16,11 @@ from choquard import (
     threshold_check,
 )
 from choquard.extremals import (
-    BubbleSpec,
+    CASE_TOL,
+    THRESHOLD_CASES,
+    UPPER_CORNER,
     classify_margins,
+    critical_case,
     critical_parameter_search,
     cutoff_bubble,
     local_term_case,
@@ -26,6 +29,7 @@ from choquard.extremals import (
     asymptotic_suite,
 )
 from choquard.functionals import breakdown
+from choquard.verify import CRITICAL_GAP
 from choquard.grid import RadialField
 
 from oracles import (
@@ -54,8 +58,6 @@ class TestTalenti:
         g = build_grid(3, 4.0, 64)
         with pytest.raises(InvalidParameterError):
             talenti(g, 0.0)
-        with pytest.raises(InvalidParameterError):
-            BubbleSpec(3, 2.0, -1.0)
 
     def test_dirichlet_energy_scale_invariant(self):
         g = build_grid(3, 12000.0, 400_000, scheme="graded", gamma=3.0)
@@ -245,6 +247,18 @@ class TestThresholdCheck:
         with pytest.raises(CaseMismatchError):
             threshold_check(upper, "sideways", [0.25])
 
+    def test_upper_corner_rejected_by_every_case(self):
+        # verify's wider tolerance sees the same corner; see test_verify
+        corner = Params(N=3, alpha=2.0, p=5.0, q=6.0)
+        assert critical_case(corner, CASE_TOL) == UPPER_CORNER
+        assert critical_case(corner, CRITICAL_GAP) == UPPER_CORNER
+        near = corner.with_(p=4.995, q=5.995)
+        assert critical_case(near, CASE_TOL) is None
+        assert critical_case(near, CRITICAL_GAP) == UPPER_CORNER
+        for case in THRESHOLD_CASES:
+            with pytest.raises(CaseMismatchError):
+                threshold_check(corner, case, [0.25])
+
     def test_n4_margins_positive_for_small_eps(self):
         params = Params(N=4, alpha=1.0, p=2.5, q=3.0)
         eps = [2.0**-3, 2.0**-4, 2.0**-5]
@@ -285,11 +299,7 @@ class TestThresholdCheck:
         verdict = classify_margins([0.5, 0.0, -0.2], threshold=1.0)
         assert verdict["inconclusive"] is True
         verdict2 = classify_margins([0.1, 0.2], threshold=1.0)
-        assert verdict2 == {
-            "inconclusive": False,
-            "positive_margin_found": True,
-            "margins_increasing": True,
-        }
+        assert verdict2 == {"inconclusive": False, "positive_margin_found": True}
 
 
 class TestParameterSearch:
@@ -326,7 +336,7 @@ class TestParameterSearch:
             return ex.MarginReport(
                 case=case, params=trial, thresholds={"upper_critical": 1.0},
                 families={"bubble": [row]}, inconclusive=False,
-                positive_margin_found=margin > 0, margins_increasing=True,
+                positive_margin_found=margin > 0,
             )
 
         monkeypatch.setattr(ex, "threshold_check", fake_check)

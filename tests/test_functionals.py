@@ -68,6 +68,9 @@ class TestParams:
             dict(N=3, alpha=2.0, p=2.0, q=6.5),
             dict(N=3, alpha=2.0, p=2.0, q=3.0, mu=0.0),
             dict(N=3, alpha=2.0, p=2.0, q=3.0, lam=-1.0),
+            dict(N=3, alpha=2.0, p=2.0, q=3.0, mu=math.inf),
+            dict(N=3, alpha=2.0, p=2.0, q=3.0, lam=math.nan),
+            dict(N=3, alpha=2.0, p=2.0, q=3.0, lam=math.inf),
         ],
     )
     def test_validation(self, kwargs):
@@ -90,6 +93,10 @@ class TestBreakdown:
         bd_s = pekar_report.breakdown
         for got, want in zip(bd_s.astuple(), bd_o.astuple()):
             assert got == pytest.approx(want, rel=1e-3)
+
+    def test_equals_solver_breakdown_exactly(self, pekar_report):
+        # the solver and breakdown evaluate the integrals through one core
+        assert breakdown(pekar_report.profile, PEKAR) == pekar_report.breakdown
 
 
 class TestEnergyFormulas:
@@ -180,6 +187,10 @@ class TestGradientResidual:
     def test_small_at_ground_state(self, pekar_report):
         g = gradient_residual(pekar_report.profile, PEKAR)
         assert h1_norm(g) < 1e-6
+
+    def test_norm_equals_solver_residual_exactly(self, pekar_report):
+        g = gradient_residual(pekar_report.profile, PEKAR)
+        assert h1_norm(g) == pekar_report.residual_norm
 
 
 class TestGroundStateIdentities:

@@ -10,8 +10,8 @@ from choquard import (
     sharp_constants,
 )
 from choquard.extremals import talenti
-from choquard.functionals import breakdown, energy_of, nehari_of, pohozaev_of
-from choquard.solver import SolveReport, half_mass_radius
+from choquard.functionals import breakdown
+from choquard.solver import SolveReport
 from choquard.verify import (
     check_level_window,
     check_mountain_pass_consistency,
@@ -25,14 +25,7 @@ PEKAR = Params(N=3, alpha=2.0, p=2.0, q=3.0)
 
 
 def _fake_report(field, params, status="converged", residual=1e-7):
-    bd = breakdown(field, params)
-    return SolveReport(
-        profile=field, params=params, breakdown=bd,
-        J=energy_of(bd, params), P=pohozaev_of(bd, params), nehari=nehari_of(bd, params),
-        residual_norm=residual, iterations=1,
-        linf=float(np.max(np.abs(field.values))),
-        half_mass_radius=half_mass_radius(field), status=status,
-    )
+    return SolveReport(field, params, breakdown(field, params), residual, 1, status)
 
 
 class TestPohozaevCheck:
@@ -126,6 +119,13 @@ class TestLevelWindow:
         assert res.passed
         assert "upper-critical-p" in res.note
         assert 0 < res.measured <= res.bound
+
+    def test_upper_corner_checked_as_upper_critical_p(self):
+        grid = build_grid(3, 15.0, 128)
+        u = sample(grid, lambda r: np.exp(-(r**2)))
+        for p, q in ((5.0, 6.0), (4.995, 5.995)):
+            rep = _fake_report(u, Params(N=3, alpha=2.0, p=p, q=q))
+            assert check_level_window(rep).note == "case upper-critical-p"
 
     def test_negative_level_fails(self):
         grid = build_grid(3, 15.0, 128)

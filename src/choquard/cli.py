@@ -128,6 +128,8 @@ def load_config(path: str | Path) -> RunConfig:
         set(),
         "solve",
     )
+    if "max_iter" in ssec:
+        ssec["max_iter"] = parse_value(int, ssec["max_iter"], "solve.max_iter")
     init = ssec.pop("init", "gaussian")
     if init not in ("gaussian", "zero"):
         raise ConfigError(f"unknown init kind {init!r}")
@@ -217,7 +219,7 @@ def cmd_continue(args) -> int:
     if target is None or steps is None:
         raise ConfigError("continuation target/steps missing (flag or config)")
     grid = config.build_grid()
-    reports = continue_exponent(config.params, target, int(steps), config.solve, grid)
+    reports = continue_exponent(config.params, target, steps, config.solve, grid)
     verdict = detect_dichotomy(reports)
 
     out = config.output_dir
@@ -254,7 +256,7 @@ def _sweep_cell(config: RunConfig) -> dict:
     row = {k: params[k] for k in SWEEP_AXES}
     grid = config.build_grid()
     try:
-        report = ground_state(config.params, default_initial_guess(grid), config.solve)
+        report = ground_state(config.params, config.initial_field(grid), config.solve)
         _write_report(report, config.output_dir)
         row.update(J=report.J, status=report.status, residual=report.residual_norm)
     except ChoquardError as exc:

@@ -16,7 +16,6 @@ thresholds decide when a critical ground state exists.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,11 +120,6 @@ def cutoff_bubble(grid: RadialGrid, epsilon: float) -> RadialField:
     return RadialField(grid, _cutoff_values(r) * _talenti_values(r, epsilon, grid.dimension))
 
 
-_pekar_amplitude_cache: "weakref.WeakKeyDictionary[RadialGrid, dict[float, float]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _lower_critical_breakdown(grid: RadialGrid, alpha: float):
     """Integrals of V = (1+r^2)^{-N/2} at the lower-critical p, and that p."""
     n = grid.dimension
@@ -135,27 +129,17 @@ def _lower_critical_breakdown(grid: RadialGrid, alpha: float):
     return breakdown(v, Params(N=n, alpha=alpha, p=p_low, q=q_mid)), p_low
 
 
-def _pekar_amplitude(grid: RadialGrid, alpha: float) -> float:
-    """Amplitude A normalizing int (I_a * |V|^p_) |V|^p_ to one."""
-    per_grid = _pekar_amplitude_cache.setdefault(grid, {})
-    amp = per_grid.get(alpha)
-    if amp is None:
-        bd, p_low = _lower_critical_breakdown(grid, alpha)
-        amp = bd.nonlocal_term ** (-1.0 / (2.0 * p_low))
-        per_grid[alpha] = amp
-    return amp
-
-
 def pekar_extremal(grid: RadialGrid, delta: float, alpha: float) -> RadialField:
     """Dilated lower-critical extremal v_delta = delta^{N/2} V(delta x).
 
-    V = A (1+r^2)^{-N/2} with A fixed once per (grid, alpha) so that the
-    nonlocal integral of V at the lower-critical exponent equals one.
-    Sampled from the closed form, not resampled.
+    V = A (1+r^2)^{-N/2} with A chosen on the grid so that the nonlocal
+    integral of V at the lower-critical exponent equals one.  Sampled from
+    the closed form, not resampled.
     """
     if not delta > 0:
         raise InvalidParameterError("delta must be positive")
-    amp = _pekar_amplitude(grid, alpha)
+    bd, p_low = _lower_critical_breakdown(grid, alpha)
+    amp = bd.nonlocal_term ** (-1.0 / (2.0 * p_low))
     n = grid.dimension
     vals = delta ** (n / 2.0) * amp * (1.0 + (delta * grid.nodes) ** 2) ** (-n / 2.0)
     return RadialField(grid, vals)

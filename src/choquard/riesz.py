@@ -6,17 +6,16 @@ one-dimensional integral against the angularly integrated kernel
     k(r, s) = int_{S^{N-1}} |r e_1 - s omega|^{alpha-N} d omega,
 
 for which a closed form exists: elementary for N = 3, hypergeometric in
-general.  A dense M x M kernel matrix is precomputed once per (grid,
-alpha) pair and cached; applying the potential is then a single matrix
-product, exact to quadrature order.  The integrable kernel singularity on
-the diagonal r = s is replaced by the average of k over the node's own
-quadrature cell.
+general.  A dense M x M kernel matrix is precomputed once per distinct
+mesh and alpha and kept for the process; applying the potential is then a
+single matrix product, exact to quadrature order.  The integrable kernel
+singularity on the diagonal r = s is replaced by the average of k over
+the node's own quadrature cell.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +185,7 @@ def _kernel_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RieszKernel:
-    """Dense angularly reduced kernel for one (grid, alpha) pair."""
+    """Dense angularly reduced kernel for one mesh and alpha."""
 
     alpha: float
     dimension: int
@@ -207,20 +206,25 @@ class RieszKernel:
         return float(g.sphere_area * (uw @ self.reduced_kernel @ vw))
 
 
-_kernel_cache: "weakref.WeakKeyDictionary[RadialGrid, dict[float, RieszKernel]]" = (
-    weakref.WeakKeyDictionary()
-)
+# 8192 nodes is a 512 MiB matrix, and a build holds about three at once
+MAX_KERNEL_NODES = 8192
+_kernel_cache: dict[tuple, RieszKernel] = {}
 
 
 def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
-    """Shared kernel matrix for one grid and exponent; built on first use."""
+    """Kernel matrix for one mesh and exponent, built on first use and shared
+    by every equal mesh; more than MAX_KERNEL_NODES nodes are refused first."""
     _check_alpha(grid.dimension, alpha)
-    per_grid = _kernel_cache.setdefault(grid, {})
-    kernel = per_grid.get(alpha)
-    if kernel is None:
-        kernel = RieszKernel(alpha, grid.dimension, grid, _kernel_matrix(grid, alpha))
-        per_grid[alpha] = kernel
-    return kernel
+    m = grid.node_count
+    if m > MAX_KERNEL_NODES:
+        raise InvalidParameterError(
+            f"a dense Riesz kernel on {m} nodes needs {8 * m * m >> 20} MiB; the limit is "
+            f"{MAX_KERNEL_NODES} nodes"
+        )
+    key = (grid.dimension, alpha, grid.nodes.tobytes(), grid.weights.tobytes())
+    if key not in _kernel_cache:
+        _kernel_cache[key] = RieszKernel(alpha, grid.dimension, grid, _kernel_matrix(grid, alpha))
+    return _kernel_cache[key]
 
 
 def riesz_apply(f: RadialField, alpha: float) -> RadialField:

@@ -82,14 +82,14 @@ class SolveOptions:
     continuation: ContinuationSpec | None = None
 
     def __post_init__(self):
-        if not self.tol_residual > 0:
-            raise InvalidParameterError("tol_residual must be positive")
+        if not 0.0 < self.tol_residual < math.inf:
+            raise InvalidParameterError("tol_residual must be positive and finite")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be >= 1")
         if not 0.0 < self.backtrack < 1.0:
             raise InvalidParameterError("backtracking factor must lie in (0, 1)")
-        if not self.step > 0:
-            raise InvalidParameterError("initial step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise InvalidParameterError("initial step must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -61,6 +62,19 @@ class TestSolveCommand:
     def test_zero_init_invalid(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", solve={"init": "zero"})
         assert main(["solve", "--config", str(cfg)]) == 3
+
+    def test_oversized_kernel_refused(self, tmp_path, capsys, monkeypatch):
+        import choquard.riesz as riesz
+
+        def refuse(grid, alpha):
+            raise AssertionError("kernel matrix built")
+
+        monkeypatch.setattr(riesz, "_kernel_matrix", refuse)
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", grid={"M": 16384})
+        assert main(["solve", "--config", str(cfg)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "InvalidParameterError"
+        assert "16384 nodes" in error["error"]
 
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -188,6 +202,19 @@ class TestSweepCommand:
         main(["sweep", "--config", str(self._sweep_config(tmp_path, out_p, 2))])
         assert (out_s / "summary.csv").read_bytes() == (out_p / "summary.csv").read_bytes()
 
+    def test_cells_start_from_configured_init(self, tmp_path, capsys):
+        out_dir = tmp_path / "zero"
+        cfg = write_config(
+            tmp_path / "zero.json", out_dir,
+            grid={"rmax": 30.0, "M": 512, "scheme": "graded", "gamma": 2.0},
+            solve={"init": "zero"},
+            sweep={"p": [2.0, 2.2], "q": [3.0], "parallelism": 1},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        with open(out_dir / "summary.csv", newline="") as fh:
+            statuses = [row["status"] for row in csv.DictReader(fh)]
+        assert statuses == ["error: initial field is identically zero"] * 2
+
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "x")
         assert main(["sweep", "--config", str(cfg)]) == 3
@@ -243,6 +270,8 @@ class TestMalformedInput:
                 [], id="report-without-profile-path",
             ),
             pytest.param("solve", {"grid": {"M": "abc"}}, [], id="grid-M-not-a-number"),
+            pytest.param("solve", {"params": {"N": 3.9}}, [], id="N-not-integral"),
+            pytest.param("solve", {"grid": {"M": 512.7}}, [], id="grid-M-not-integral"),
             pytest.param("solve", {"params": {"lambda": None}}, [], id="lambda-null"),
             pytest.param("solve", 5, [], id="top-level-number"),
             pytest.param("sweep", {"sweep": {"p": ["x"]}}, [], id="sweep-axis-not-a-number"),

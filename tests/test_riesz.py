@@ -16,8 +16,10 @@ from choquard import (
     riesz_normalization,
     sample,
 )
+from choquard import riesz
 from choquard.extremals import pekar_extremal
 from choquard.functionals import Params, breakdown
+from choquard.grid import grid_from_nodes, read_profile_csv, write_profile_csv
 
 from oracles import gamma_hls_constant, random_positive_field, theta_kernel_oracle
 
@@ -117,6 +119,37 @@ class TestKernelMatrix:
     def test_cache_reuse(self):
         g = build_grid(3, 10.0, 64)
         assert kernel_for(g, 2.0) is kernel_for(g, 2.0)
+
+    def test_equal_meshes_share_one_kernel(self):
+        a, b = build_grid(3, 10.0, 64), build_grid(3, 10.0, 64)
+        assert a is not b
+        assert kernel_for(a, 2.0) is kernel_for(b, 2.0)
+
+    def test_mesh_read_back_from_profile_shares_kernel(self, tmp_path):
+        g = build_grid(3, 30.0, 256)
+        path = tmp_path / "profile.csv"
+        write_profile_csv(sample(g, lambda r: np.exp(-(r**2))), path)
+        nodes, _ = read_profile_csv(path)
+        assert kernel_for(grid_from_nodes(3, nodes), 2.0) is kernel_for(g, 2.0)
+
+    def test_other_mesh_or_alpha_gets_another_kernel(self):
+        g = build_grid(3, 10.0, 64)
+        assert kernel_for(build_grid(3, 10.0, 65), 2.0) is not kernel_for(g, 2.0)
+        assert kernel_for(build_grid(3, 11.0, 64), 2.0) is not kernel_for(g, 2.0)
+        assert kernel_for(g, 1.5) is not kernel_for(g, 2.0)
+
+    def test_oversized_mesh_refused_before_building(self, monkeypatch):
+        def refuse(grid, alpha):
+            raise AssertionError("kernel matrix built")
+
+        monkeypatch.setattr(riesz, "_kernel_matrix", refuse)
+        with pytest.raises(InvalidParameterError, match="8193 nodes"):
+            kernel_for(build_grid(3, 30.0, 8193), 2.0)
+
+    def test_node_limit_admits_8192(self, monkeypatch):
+        monkeypatch.setattr(riesz, "_kernel_cache", {})
+        monkeypatch.setattr(riesz, "_kernel_matrix", lambda grid, alpha: np.ones((1, 1)))
+        assert kernel_for(build_grid(3, 30.0, 8192), 2.0).reduced_kernel.shape == (1, 1)
 
 
 class TestRieszApply:

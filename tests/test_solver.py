@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,8 @@ class TestOptions:
             dict(backtrack=1.0),
             dict(backtrack=0.0),
             dict(step=0.0),
+            dict(step=math.inf),
+            dict(tol_residual=math.inf),
         ],
     )
     def test_validation(self, kwargs):

@@ -70,7 +70,6 @@ from .extremals import (
     threshold_check,
 )
 from .solver import (
-    ContinuationSpec,
     SolveOptions,
     SolveReport,
     continue_exponent,

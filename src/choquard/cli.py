@@ -47,9 +47,10 @@ from .grid import (
 )
 from .riesz import hls_bilinear, hls_constant
 from .solver import (
-    ContinuationSpec,
+    CONTINUATION_TARGETS,
     SolveOptions,
     SolveReport,
+    check_continuation,
     continue_exponent,
     default_initial_guess,
     detect_dichotomy,
@@ -62,7 +63,6 @@ EXIT_DICHOTOMY = 2
 EXIT_INVALID = 3
 EXIT_IO = 4
 
-PARALLELISM_ENV = "CHOQUARD_PARALLELISM"
 SWEEP_AXES = ("p", "q", "mu", "lambda")
 
 
@@ -81,7 +81,7 @@ class RunConfig:
     solve: SolveOptions
     init: str
     output_dir: Path
-    seed: int
+    continuation: tuple[str, int] | None = None  # (target, steps); only cmd_continue reads it
     sweep: object = None  # the raw "sweep" section; only cmd_sweep reads it
 
     def build_grid(self) -> RadialGrid:
@@ -124,7 +124,7 @@ def load_config(path: str | Path) -> RunConfig:
 
     ssec = require_keys(
         doc.get("solve", {}),
-        {"step", "backtrack", "tol_residual", "max_iter", "enforce_nonneg", "continuation", "init"},
+        {"tol_residual", "max_iter", "continuation", "init"},
         set(),
         "solve",
     )
@@ -133,23 +133,27 @@ def load_config(path: str | Path) -> RunConfig:
     init = ssec.pop("init", "gaussian")
     if init not in ("gaussian", "zero"):
         raise ConfigError(f"unknown init kind {init!r}")
-    cont = ssec.pop("continuation", None)
-    spec = None
-    if cont is not None:
-        cont = require_keys(cont, {"target", "steps"}, {"target", "steps"}, "solve.continuation")
-        spec = ContinuationSpec(cont["target"], parse_value(int, cont["steps"], "continuation.steps"))
+    continuation = ssec.pop("continuation", None)
+    if continuation is not None:
+        cont = require_keys(
+            continuation, {"target", "steps"}, {"target", "steps"}, "solve.continuation"
+        )
+        continuation = (cont["target"], parse_value(int, cont["steps"], "continuation.steps"))
+        check_continuation(*continuation)
     try:
-        opts = SolveOptions(continuation=spec, **ssec)
+        opts = SolveOptions(**ssec)
     except TypeError as exc:
         raise ConfigError(f"bad solve options: {exc}") from exc
 
+    output_dir = parse_value(Path, doc.get("output_dir", "."), "output_dir")
+    parse_value(int, doc.get("seed", 0), "seed")  # checked, though no computation reads it
     return RunConfig(
         params=params,
         grid_spec=grid_spec,
         solve=opts,
         init=init,
-        output_dir=parse_value(Path, doc.get("output_dir", "."), "output_dir"),
-        seed=parse_value(int, doc.get("seed", 0), "seed"),
+        output_dir=output_dir,
+        continuation=continuation,
         sweep=doc.get("sweep"),
     )
 
@@ -213,9 +217,9 @@ def cmd_solve(args) -> int:
 
 def cmd_continue(args) -> int:
     config = load_config(args.config)
-    spec = config.solve.continuation
-    target = args.target or (spec.target if spec else None)
-    steps = args.steps if args.steps is not None else (spec.steps if spec else None)
+    target, steps = config.continuation or (None, None)
+    target = args.target or target
+    steps = args.steps if args.steps is not None else steps
     if target is None or steps is None:
         raise ConfigError("continuation target/steps missing (flag or config)")
     grid = config.build_grid()
@@ -266,7 +270,7 @@ def _sweep_cell(config: RunConfig) -> dict:
 
 def sweep_plan(config: RunConfig) -> tuple[dict[str, dict], int]:
     """The distinct (p, q, mu, lambda) cells of the config's sweep section,
-    keyed by digest, and the number of worker processes."""
+    keyed by digest, and its parallelism (at least 1)."""
     if not config.sweep:
         raise ConfigError("sweep command needs a 'sweep' section")
     sweep = require_keys(config.sweep, {*SWEEP_AXES, "parallelism"}, set(), "sweep")
@@ -279,15 +283,15 @@ def sweep_plan(config: RunConfig) -> tuple[dict[str, dict], int]:
         cells.setdefault(digest, cell)
     if not cells:
         raise ConfigError("sweep grid is empty")
-    workers = parse_value(int, os.environ.get(PARALLELISM_ENV, 0), PARALLELISM_ENV) or (
-        parse_value(int, sweep.get("parallelism", 1), "sweep.parallelism")
-    )
-    return cells, workers
+    parallelism = parse_value(int, sweep.get("parallelism", 1), "sweep.parallelism")
+    if parallelism < 1:
+        raise ConfigError(f"sweep.parallelism must be >= 1, got {parallelism}")
+    return cells, parallelism
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    cells, workers = sweep_plan(config)
+    cells, parallelism = sweep_plan(config)
     base = config.params.to_dict()
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -299,6 +303,8 @@ def cmd_sweep(args) -> int:
             rows.append({**cell, "J": math.nan, "status": f"error: {exc}", "residual": math.nan})
             continue
         jobs.append(replace(config, params=params, output_dir=out / f"cell_{digest}"))
+    # the pool forks all of its workers at once, so never ask for idle ones
+    workers = min(parallelism, len(jobs), len(os.sched_getaffinity(0)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows += pool.map(_sweep_cell, jobs)
@@ -399,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continue", help="subcritical continuation run")
     p.add_argument("--config", required=True)
-    p.add_argument("--target", choices=["p-upper", "p-lower", "q-upper", "double"], default=None)
+    p.add_argument("--target", choices=CONTINUATION_TARGETS, default=None)
     p.add_argument("--steps", type=int, default=None)
     p.set_defaults(fn=cmd_continue)
 

@@ -53,6 +53,10 @@ THRESHOLD_CASES = ("upper-critical-p", "lower-critical-p", "critical-q", "doubly
 UPPER_CORNER = "upper-critical-p-and-q"
 # exponent distance treated as "at" a critical value by threshold_check
 CASE_TOL = 1e-9
+# critical_parameter_search: margins sampled across the bracket before
+# bisecting, and the bracket width, relative to its upper end, that stops it
+SEARCH_SAMPLES = 5
+SEARCH_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -221,16 +225,14 @@ class AsymptoticTable:
     local_term: list[float]
     resolved: list[bool]
     fits: dict
-    amplitudes: dict
 
     def rows(self) -> list[tuple]:
         return list(zip(self.eps, self.kinetic, self.mass, self.nonlocal_term, self.local_term))
 
 
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and amplitude of y ~ K x^slope."""
-    slope, logk = np.polyfit(np.log(x), np.log(np.abs(y)), 1)
-    return float(slope), float(math.exp(logk))
+def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y ~ K x^slope."""
+    return float(np.polyfit(np.log(x), np.log(np.abs(y)), 1)[0])
 
 
 def _grid_resolves(grid: RadialGrid, eps: float) -> bool:
@@ -248,7 +250,6 @@ def asymptotic_suite(
     eps_list: list[float],
     num_nodes: int = 2048,
     fine_nodes: int = 1 << 17,
-    sobolev_level: float | None = None,
 ) -> AsymptoticTable:
     """Bubble integrals over a dyadic eps sweep with fitted decay orders.
 
@@ -287,43 +288,36 @@ def asymptotic_suite(
         raise InvalidParameterError("fewer than 3 resolved eps values; refine the grid")
 
     fits: dict[str, dict] = {}
-    amplitudes: dict[str, float] = {}
 
     # kinetic: a(eps) = S^{N/2} + O(eps^{N-2}); fit the dyadic differences
     a_ok = np.asarray(table["a"])[ok]
     diffs = np.abs(np.diff(a_ok))
-    slope, amp = _loglog_slope(eps_ok[:-1], diffs)
+    slope = _loglog_slope(eps_ok[:-1], diffs)
     fits["kinetic_deficit"] = {"fitted": slope, "expected": float(dimension - 2)}
-    amplitudes["kinetic_deficit"] = amp
 
     # mass: eps^2 for N >= 5, eps^2 |ln eps| for N = 4, eps for N = 3
     b_ok = np.asarray(table["b"])[ok]
     if dimension == 4:
-        slope, amp = _loglog_slope(eps_ok, b_ok / np.abs(np.log(eps_ok)))
+        slope = _loglog_slope(eps_ok, b_ok / np.abs(np.log(eps_ok)))
         expected = 2.0
     else:
-        slope, amp = _loglog_slope(eps_ok, b_ok)
+        slope = _loglog_slope(eps_ok, b_ok)
         expected = 1.0 if dimension == 3 else 2.0
     fits["mass"] = {"fitted": slope, "expected": expected, "log_factor": dimension == 4}
-    amplitudes["mass"] = amp
 
     # local term: three cases in (N-2) q versus N
     case, expected, has_log = local_term_case(dimension, q)
     d_ok = np.asarray(table["d"])[ok]
     y = d_ok / np.abs(np.log(eps_ok)) if has_log else d_ok
-    slope, amp = _loglog_slope(eps_ok, y)
+    slope = _loglog_slope(eps_ok, y)
     fits["local"] = {"fitted": slope, "expected": expected, "case": case, "log_factor": has_log}
-    amplitudes["local"] = amp
 
     # nonlocal term: the lower-bound exponent is attained only in the
     # core-dominated regime; otherwise it is a one-sided bound
     c_ok = np.asarray(table["c"])[ok]
     bound_exp = dimension + alpha - (dimension - 2.0) * p
     tight = nonlocal_core_dominated(dimension, alpha, p)
-    if abs(bound_exp) > 1e-12:
-        slope, amp = _loglog_slope(eps_ok, c_ok)
-    else:
-        slope, amp = 0.0, float(c_ok[-1])
+    slope = _loglog_slope(eps_ok, c_ok) if abs(bound_exp) > 1e-12 else 0.0
     fits["nonlocal"] = {
         "fitted": slope,
         "bound_exponent": bound_exp,
@@ -331,13 +325,6 @@ def asymptotic_suite(
         # decay no faster than the bound (10% slack); equality when tight
         "bound_satisfied": slope <= bound_exp + 0.1 * max(abs(bound_exp), 1.0),
     }
-    amplitudes["nonlocal"] = amp
-
-    if sobolev_level is not None:
-        fits["kinetic_level"] = {
-            "limit": sobolev_level,
-            "max_gap": float(np.max(np.abs(a_ok - sobolev_level))),
-        }
 
     return AsymptoticTable(
         eps=list(map(float, eps_arr)),
@@ -347,7 +334,6 @@ def asymptotic_suite(
         local_term=table["d"],
         resolved=resolved,
         fits=fits,
-        amplitudes=amplitudes,
     )
 
 
@@ -520,8 +506,6 @@ def critical_parameter_search(
     case: str,
     family_values: list[float],
     bracket: tuple[float, float] = (1.0, 1e6),
-    rel_width: float = 0.05,
-    monotone_samples: int = 5,
     constants: SharpConstants | None = None,
     num_nodes: int = 1024,
 ) -> SearchResult:
@@ -545,7 +529,7 @@ def critical_parameter_search(
         report = threshold_check(trial, case, family_values, constants, num_nodes)
         return max(row.margin for rows in report.families.values() for row in rows)
 
-    sample_points = np.geomspace(lo, hi, monotone_samples)
+    sample_points = np.geomspace(lo, hi, SEARCH_SAMPLES)
     samples = [(float(v), margin_at(float(v))) for v in sample_points]
     slack = 1e-9 * max(1.0, *(abs(m) for _, m in samples))
     if any(b < a - slack for (_, a), (_, b) in zip(samples, samples[1:])):
@@ -564,7 +548,7 @@ def critical_parameter_search(
             lo_n = max(lo_n, v)
         else:
             hi_p = min(hi_p, v)
-    while hi_p - lo_n > rel_width * hi_p:
+    while hi_p - lo_n > SEARCH_TOL * hi_p:
         mid = math.sqrt(lo_n * hi_p)
         if margin_at(mid) > 0:
             hi_p = mid

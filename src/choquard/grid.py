@@ -24,6 +24,9 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import InvalidParameterError
 
+# 2^22 nodes is 32 MiB per array; larger meshes are refused before allocating
+MAX_GRID_NODES = 1 << 22
+
 __all__ = [
     "RadialGrid",
     "RadialField",
@@ -197,6 +200,10 @@ def build_grid(
         raise InvalidParameterError(f"rmax must be positive, got {rmax}")
     if num_nodes < 16:
         raise InvalidParameterError(f"need at least 16 nodes, got {num_nodes}")
+    if num_nodes > MAX_GRID_NODES:
+        raise InvalidParameterError(
+            f"a mesh of {num_nodes} nodes exceeds the limit of {MAX_GRID_NODES} nodes"
+        )
     frac = np.arange(1, num_nodes + 1, dtype=float) / num_nodes
     if scheme == "uniform":
         nodes = rmax * frac

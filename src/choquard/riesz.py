@@ -211,6 +211,11 @@ MAX_KERNEL_NODES = 8192
 _kernel_cache: dict[tuple, RieszKernel] = {}
 
 
+def _mesh_key(grid: RadialGrid) -> tuple:
+    """Equal for equal meshes, however they were built."""
+    return grid.dimension, grid.nodes.tobytes(), grid.weights.tobytes()
+
+
 def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
     """Kernel matrix for one mesh and exponent, built on first use and shared
     by every equal mesh; more than MAX_KERNEL_NODES nodes are refused first."""
@@ -221,7 +226,7 @@ def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
             f"a dense Riesz kernel on {m} nodes needs {8 * m * m >> 20} MiB; the limit is "
             f"{MAX_KERNEL_NODES} nodes"
         )
-    key = (grid.dimension, alpha, grid.nodes.tobytes(), grid.weights.tobytes())
+    key = (_mesh_key(grid), alpha)
     if key not in _kernel_cache:
         _kernel_cache[key] = RieszKernel(alpha, grid.dimension, grid, _kernel_matrix(grid, alpha))
     return _kernel_cache[key]
@@ -234,7 +239,8 @@ def riesz_apply(f: RadialField, alpha: float) -> RadialField:
 
 
 def hls_bilinear(u: RadialField, v: RadialField, alpha: float) -> float:
-    """Bilinear HLS form int int u(x) v(y) / |x-y|^{N-alpha} dx dy."""
-    if u.grid is not v.grid:
-        raise InvalidParameterError("hls_bilinear needs fields on the same grid")
+    """Bilinear HLS form int int u(x) v(y) / |x-y|^{N-alpha} dx dy; the two
+    fields may sit on separately built but equal meshes."""
+    if u.grid is not v.grid and _mesh_key(u.grid) != _mesh_key(v.grid):
+        raise InvalidParameterError("hls_bilinear needs fields on equal meshes")
     return kernel_for(u.grid, alpha).bilinear(u.values, v.values)

@@ -1,8 +1,8 @@
 """Ground states by projected descent on the Pohozaev manifold.
 
 Each iteration takes a preconditioned gradient step u <- u - eta g, where
-g is the H^1 representative of J'(u), optionally replaces u by |u|, and
-dilates back onto {P = 0}.  The reduced energy is monotone under Armijo
+g is the H^1 representative of J'(u), replaces u by |u|, and dilates
+back onto {P = 0}.  The reduced energy is monotone under Armijo
 backtracking, and at convergence the iterate is an unconstrained critical
 point, so the Pohozaev and Nehari identities hold to tolerance.
 
@@ -38,7 +38,6 @@ from .grid import RadialField, RadialGrid, h1_inner, h1_norm, h1_solve, sample
 from .riesz import kernel_for
 
 __all__ = [
-    "ContinuationSpec",
     "SolveOptions",
     "SolveReport",
     "default_initial_guess",
@@ -49,6 +48,12 @@ __all__ = [
 ]
 
 CONTINUATION_TARGETS = ("p-upper", "p-lower", "q-upper", "double")
+
+# Projected descent: first trial step and Armijo backtracking factor.
+STEP = 1.0
+BACKTRACK = 0.5
+# A converged solve has |P| <= POHOZAEV_TOL (kinetic + mass).
+POHOZAEV_TOL = 1e-5
 
 # Dichotomy cutoffs: H^1 collapse below 1e-3 of the initial norm means
 # vanishing; a tenfold sup-norm rise with a threefold half-mass shrink
@@ -61,35 +66,15 @@ CONCENTRATION_SHRINK = 3.0
 
 
 @dataclass(frozen=True)
-class ContinuationSpec:
-    target: str
-    steps: int
-
-    def __post_init__(self):
-        if self.target not in CONTINUATION_TARGETS:
-            raise InvalidParameterError(f"unknown continuation target {self.target!r}")
-        if self.steps < 0:
-            raise InvalidParameterError("steps must be >= 0")
-
-
-@dataclass(frozen=True)
 class SolveOptions:
-    step: float = 1.0
-    backtrack: float = 0.5
     tol_residual: float = 1e-6
     max_iter: int = 2000
-    enforce_nonneg: bool = True
-    continuation: ContinuationSpec | None = None
 
     def __post_init__(self):
         if not 0.0 < self.tol_residual < math.inf:
             raise InvalidParameterError("tol_residual must be positive and finite")
         if self.max_iter < 1:
             raise InvalidParameterError("max_iter must be >= 1")
-        if not 0.0 < self.backtrack < 1.0:
-            raise InvalidParameterError("backtracking factor must lie in (0, 1)")
-        if not 0.0 < self.step < math.inf:
-            raise InvalidParameterError("initial step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -197,7 +182,7 @@ def ground_state(
 ) -> SolveReport:
     """Minimize J over the Pohozaev manifold starting from init.
 
-    Runs projected descent (gradient step, optional |u|, dilation back onto
+    Runs projected descent (gradient step, |u|, dilation back onto
     {P = 0}) until the residual is small, then polishes by descent on the
     squared H^1 residual, whose zeros are the unconstrained critical
     points; this removes the interpolation-noise floor of per-step
@@ -213,7 +198,7 @@ def ground_state(
         raise DegenerateFieldError("initial field is identically zero")
     kern = kernel_for(grid, params.alpha)
 
-    u = np.abs(init.values) if opts.enforce_nonneg else init.values.copy()
+    u = np.abs(init.values)
     bd, potential = integrals(u, grid, params, kern)
     if bd.kinetic <= 0 or bd.nonlocal_term <= 0:
         raise DegenerateFieldError("initial field has degenerate kinetic or nonlocal term")
@@ -223,7 +208,7 @@ def ground_state(
 
     first = RadialField(grid, u)
 
-    eta = opts.step
+    eta = STEP
     iterations = 0
     g_vals, residual = residual_of(u, potential, grid, params)
 
@@ -244,9 +229,7 @@ def ground_state(
         J_cur = energy_of(bd, params)
         accepted = False
         for _ in range(40):
-            trial = u - eta * g_vals
-            if opts.enforce_nonneg:
-                np.abs(trial, out=trial)
+            trial = np.abs(u - eta * g_vals)
             if not np.all(np.isfinite(trial)):
                 raise NumericalFailureError(
                     "non-finite iterate", {"iteration": iterations, "step": eta}
@@ -260,10 +243,10 @@ def ground_state(
                     bd, potential = integrals(u, grid, params, kern)
                     accepted = True
                     break
-            eta *= opts.backtrack
+            eta *= BACKTRACK
         if not accepted:
             break  # stagnated below representable step sizes
-        eta = min(eta / math.sqrt(opts.backtrack), 64.0 * opts.step)
+        eta = min(eta / math.sqrt(BACKTRACK), 64.0 * STEP)
         g_vals, residual = residual_of(u, potential, grid, params)
         if residual < 0.99 * best_residual:
             best_residual = residual
@@ -317,7 +300,7 @@ def ground_state(
 
     profile = RadialField(grid, u)
     P_val = pohozaev_of(bd, params)
-    if residual <= opts.tol_residual and abs(P_val) <= 1e-5 * (bd.kinetic + bd.mass):
+    if residual <= opts.tol_residual and abs(P_val) <= POHOZAEV_TOL * (bd.kinetic + bd.mass):
         status = "converged"
     else:
         status = _dichotomy(first, profile) or "max_iter"
@@ -325,6 +308,8 @@ def ground_state(
 
 
 def _schedule(start: Params, target: str, steps: int) -> list[Params]:
+    """Exponents halving the gap to the target's critical value; the target
+    is one of CONTINUATION_TARGETS (see check_continuation)."""
     p0, q0 = start.p, start.q
     p_lo, p_hi, q_hi = start.p_lower, start.p_upper, start.q_upper
     if not (p_lo < p0 < p_hi and 2.0 < q0 < q_hi):
@@ -338,8 +323,8 @@ def _schedule(start: Params, target: str, steps: int) -> list[Params]:
             out.append(start.with_(p=p_lo + (p0 - p_lo) * f))
         elif target == "q-upper":
             out.append(start.with_(q=q_hi - (q_hi - q0) * f))
-        elif target == "double":
-            # the doubly-critical family carries one gap for both exponents
+        else:
+            # "double": the doubly-critical family carries one gap for both exponents
             a0 = p0 - p_lo
             if abs(a0 - (q_hi - q0)) > 1e-9:
                 raise InvalidParameterError(
@@ -347,9 +332,15 @@ def _schedule(start: Params, target: str, steps: int) -> list[Params]:
                     f"p - p_lower = {a0} but q_upper - q = {q_hi - q0}"
                 )
             out.append(start.with_(p=p_lo + a0 * f, q=q_hi - a0 * f))
-        else:
-            raise InvalidParameterError(f"unknown continuation target {target!r}")
     return out
+
+
+def check_continuation(target: str, steps: int) -> None:
+    """Refuse a target outside CONTINUATION_TARGETS or a negative step count."""
+    if target not in CONTINUATION_TARGETS:
+        raise InvalidParameterError(f"unknown continuation target {target!r}")
+    if steps < 0:
+        raise InvalidParameterError("steps must be >= 0")
 
 
 def continue_exponent(
@@ -365,8 +356,7 @@ def continue_exponent(
     Returns steps + 1 reports, the first at the start parameters; every
     solve after the first is warm-started from the previous profile.
     """
-    if steps < 0:
-        raise InvalidParameterError("steps must be >= 0")
+    check_continuation(target, steps)
     schedule = _schedule(start, target, steps)
     reports: list[SolveReport] = []
     current = init if init is not None else default_initial_guess(grid)

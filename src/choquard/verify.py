@@ -17,7 +17,7 @@ from .errors import InvalidParameterError
 from .extremals import UPPER_CORNER, SharpConstants, critical_case, sharp_constants, threshold_value
 from .functionals import Params, breakdown, fiber_energy_of, pohozaev_of
 from .grid import RadialField, lp_norm
-from .solver import SolveReport
+from .solver import POHOZAEV_TOL, SolveReport
 
 __all__ = [
     "CheckResult",
@@ -32,6 +32,7 @@ __all__ = [
 
 RIPPLE_TOL = 1e-8  # relative tolerance for "radially nonincreasing"
 CRITICAL_GAP = 1e-2  # exponent distance treated as "at" a critical value
+RESIDUAL_TOL = 1e-6  # residual a converged solve must reach for the weak-solution check
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,9 @@ class VerificationReport:
         }
 
 
-def check_pohozaev_identity(u: RadialField, params: Params, tol: float = 1e-5) -> CheckResult:
+def check_pohozaev_identity(
+    u: RadialField, params: Params, tol: float = POHOZAEV_TOL
+) -> CheckResult:
     """|P(u)| <= tol (kinetic + mass); holds at every finite-energy solution."""
     bd = breakdown(u, params)
     scale = bd.kinetic + bd.mass
@@ -151,32 +154,28 @@ def check_level_window(report: SolveReport, constants: SharpConstants | None = N
 
 
 def run_verification(
-    report: SolveReport,
-    constants: SharpConstants | None = None,
-    tol_pohozaev: float = 1e-5,
-    tol_mountain_pass: float = 1e-6,
-    tol_residual: float = 1e-6,
+    report: SolveReport, constants: SharpConstants | None = None
 ) -> VerificationReport:
     """The full suite on one solve report."""
     u = report.profile
     checks = [
-        check_pohozaev_identity(u, report.params, tol_pohozaev),
+        check_pohozaev_identity(u, report.params),
         check_positivity_monotonicity(u),
         check_radial_decay_bound(u, 2.0),
         check_level_window(report, constants),
     ]
     if report.status == "converged":
-        checks.append(check_mountain_pass_consistency(report, tol_mountain_pass))
+        checks.append(check_mountain_pass_consistency(report))
         # Pohozaev + Nehari holding together must be witnessed by the
         # solver's weak-solution residual.
         scale = report.breakdown.kinetic + report.breakdown.mass
-        premises = abs(report.P) <= tol_pohozaev * scale and abs(report.nehari) <= 1e-4 * scale
-        implied = report.residual_norm <= tol_residual
+        premises = abs(report.P) <= POHOZAEV_TOL * scale and abs(report.nehari) <= 1e-4 * scale
+        implied = report.residual_norm <= RESIDUAL_TOL
         checks.append(
             CheckResult(
                 "weak_solution_implication",
                 report.residual_norm,
-                tol_residual,
+                RESIDUAL_TOL,
                 (not premises) or implied,
             )
         )

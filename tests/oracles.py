@@ -8,6 +8,7 @@ collocation on the radial ODE system, and dense scans.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_bvp
@@ -47,9 +48,15 @@ def gamma_lower_constant(dimension: int, alpha: float) -> float:
     return prod ** (-dimension / (dimension + alpha))
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights; order 20000 takes seconds to compute."""
+    return roots_legendre(order)
+
+
 def theta_kernel_oracle(dimension: int, alpha: float, r: float, s: float, order: int = 20000) -> float:
     """Dense Gauss-Legendre quadrature of the angular kernel integral."""
-    x, w = roots_legendre(order)
+    x, w = _legendre_rule(order)
     theta = (x + 1.0) * math.pi / 2.0
     integrand = np.sin(theta) ** (dimension - 2) * (
         r * r + s * s - 2.0 * r * s * np.cos(theta)

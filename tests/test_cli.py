@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,13 @@ class TestSolveCommand:
         assert error["kind"] == "InvalidParameterError"
         assert "16384 nodes" in error["error"]
 
+    def test_oversized_grid_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", grid={"M": 1 << 50})
+        assert main(["solve", "--config", str(cfg)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "InvalidParameterError"
+        assert f"{1 << 50} nodes" in error["error"]
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         doc = json.loads(write_config(tmp_path / "t.json", tmp_path).read_text())
@@ -123,6 +131,16 @@ class TestContinueCommand:
         summary = json.loads((out_dir / "continue_summary.json").read_text())
         assert summary["classification"] == "converged"
         assert len(summary["levels"]) == 3
+
+    @pytest.mark.parametrize(
+        "section",
+        [{"target": "sideways", "steps": 3}, {"target": "p-upper", "steps": -1}],
+        ids=["unknown-target", "negative-steps"],
+    )
+    def test_bad_continuation_section_rejected(self, tmp_path, capsys, section):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "x", solve={"continuation": section})
+        assert main(["continue", "--config", str(cfg)]) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "InvalidParameterError"
 
 
 class TestContinueDichotomyRow:
@@ -215,6 +233,40 @@ class TestSweepCommand:
             statuses = [row["status"] for row in csv.DictReader(fh)]
         assert statuses == ["error: initial field is identically zero"] * 2
 
+    @pytest.mark.parametrize("p_values", [[2.0], [2.0, 2.1, 2.2, 2.3]], ids=["1-cell", "4-cells"])
+    def test_worker_count_bounded(self, tmp_path, capsys, monkeypatch, p_values):
+        import choquard.cli as cli
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        def fake_cell(config):
+            params = config.params.to_dict()
+            row = {k: params[k] for k in cli.SWEEP_AXES}
+            return {**row, "J": 1.0, "status": "converged", "residual": 0.0}
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli, "_sweep_cell", fake_cell)
+        cfg = write_config(
+            tmp_path / "cfg.json", tmp_path / "out",
+            sweep={"p": p_values, "parallelism": 1_000_000},
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        workers = min(len(p_values), len(os.sched_getaffinity(0)))
+        assert pools == ([workers] if workers > 1 else [])
+
     def test_empty_sweep_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "x")
         assert main(["sweep", "--config", str(cfg)]) == 3
@@ -275,6 +327,14 @@ class TestMalformedInput:
             pytest.param("solve", {"params": {"lambda": None}}, [], id="lambda-null"),
             pytest.param("solve", 5, [], id="top-level-number"),
             pytest.param("sweep", {"sweep": {"p": ["x"]}}, [], id="sweep-axis-not-a-number"),
+            pytest.param(
+                "sweep", {"sweep": {"p": [2.0], "parallelism": 0}}, [], id="sweep-parallelism-zero"
+            ),
+            pytest.param("solve", {"solve": {"step": 1.0}}, [], id="solve-step-removed"),
+            pytest.param("solve", {"solve": {"backtrack": 0.5}}, [], id="solve-backtrack-removed"),
+            pytest.param(
+                "solve", {"solve": {"enforce_nonneg": True}}, [], id="solve-enforce-nonneg-removed"
+            ),
             pytest.param(
                 "threshold", {}, ["--case", "upper-critical-p", "--family", "0.25,x"],
                 id="family-not-a-number",

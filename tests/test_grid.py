@@ -50,6 +50,9 @@ class TestBuildGrid:
             dict(dimension=3, rmax=1.0, num_nodes=8),
             dict(dimension=3, rmax=1.0, num_nodes=32, gamma=0.0),
             dict(dimension=3, rmax=1.0, num_nodes=32, scheme="random"),
+            # refused before anything is allocated
+            dict(dimension=3, rmax=1.0, num_nodes=(1 << 22) + 1),
+            dict(dimension=3, rmax=1.0, num_nodes=1 << 50),
         ],
     )
     def test_rejects_bad_arguments(self, args):

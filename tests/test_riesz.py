@@ -194,6 +194,14 @@ class TestRieszApply:
 
 
 class TestHlsBilinear:
+    def test_equal_meshes_built_apart(self):
+        g1, g2 = build_grid(3, 10.0, 64), build_grid(3, 10.0, 64)
+        u1, v1 = sample(g1, lambda r: np.exp(-r)), sample(g1, lambda r: np.exp(-(r**2)))
+        v2 = sample(g2, lambda r: np.exp(-(r**2)))
+        assert hls_bilinear(u1, v2, 2.0) == hls_bilinear(u1, v1, 2.0)
+        with pytest.raises(InvalidParameterError):
+            hls_bilinear(u1, sample(build_grid(3, 10.0, 65), np.exp), 2.0)
+
     def test_zero(self):
         g = build_grid(3, 10.0, 128)
         z = sample(g, np.zeros_like)

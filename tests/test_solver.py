@@ -19,7 +19,7 @@ from choquard import (
 )
 from choquard.extremals import talenti
 from choquard.functionals import breakdown
-from choquard.solver import ContinuationSpec, SolveReport, _schedule
+from choquard.solver import SolveReport, _schedule
 
 PEKAR = Params(N=3, alpha=2.0, p=2.0, q=3.0)
 
@@ -34,22 +34,16 @@ class TestOptions:
         [
             dict(tol_residual=0.0),
             dict(max_iter=0),
-            dict(backtrack=1.0),
-            dict(backtrack=0.0),
-            dict(step=0.0),
-            dict(step=math.inf),
+            dict(max_iter=-1),
+            dict(tol_residual=-1e-6),
+            dict(tol_residual=math.nan),
+            dict(tol_residual=-math.inf),
             dict(tol_residual=math.inf),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(InvalidParameterError):
             SolveOptions(**kwargs)
-
-    def test_continuation_spec_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ContinuationSpec("sideways", 3)
-        with pytest.raises(InvalidParameterError):
-            ContinuationSpec("p-upper", -1)
 
 
 class TestGroundState:

@@ -59,7 +59,10 @@ def require_keys(section, allowed: set[str] | None, required: set[str], where: s
 
 def parse_value(conv, value, where: str):
     """conv(value), with a failed conversion raised as ConfigError; int
-    refuses a number with a fractional part instead of truncating it."""
+    refuses a number with a fractional part instead of truncating it, and
+    int and float refuse a boolean."""
+    if conv in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"bad value for {where}: {value!r} is a boolean, not a number")
     if conv is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"bad value for {where}: {value!r} is not an integer")
     try:

@@ -255,7 +255,7 @@ def asymptotic_suite(
 
     The local integrals (kinetic, mass, q-term) are quadrature only and
     evaluated on a dedicated fine mesh so that deep concentration scales
-    stay resolved; the nonlocal term uses the dense-kernel mesh.  The
+    stay resolved; the nonlocal term uses the coarser kernel mesh.  The
     kinetic deficit S^{N/2} - a(eps) is fitted through successive
     differences, which cancels the limit without needing S.  Under-resolved
     eps values are flagged and excluded from fits rather than silently

@@ -5,12 +5,15 @@ one-dimensional integral against the angularly integrated kernel
 
     k(r, s) = int_{S^{N-1}} |r e_1 - s omega|^{alpha-N} d omega,
 
-for which a closed form exists: elementary for N = 3, hypergeometric in
-general.  A dense M x M kernel matrix is precomputed once per distinct
-mesh and alpha and kept for the process; applying the potential is then a
-single matrix product, exact to quadrature order.  The integrable kernel
-singularity on the diagonal r = s is replaced by the average of k over
-the node's own quadrature cell.
+for which a closed form exists: elementary for N = 3 and for alpha = 2,
+hypergeometric in general.  The reduced kernel is precomputed once per
+distinct mesh and alpha and kept for the process.  For alpha != 2 it is a
+dense M x M matrix and applying the potential is one matrix product.  For
+alpha = 2 (the Newtonian kernel |S^{N-1}| max(r, s)^{2-N}) the matrix is
+rank one in each triangle off a 5-diagonal band, so only the point weights
+and the band corrections are stored, O(M) numbers, and an apply costs two
+cumulative sums.  The integrable kernel singularity on the diagonal r = s
+is replaced by the average of k over the node's own quadrature cell.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln, hyp2f1
 
 from .errors import InvalidParameterError
-from .grid import RadialField, RadialGrid
+from .grid import RadialField, RadialGrid, sphere_area
 
 __all__ = [
     "RieszKernel",
@@ -35,6 +38,11 @@ __all__ = [
 ]
 
 _LOG_BRANCH_TOL = 1e-8
+
+
+def _is_newtonian(alpha: float) -> bool:
+    """alpha = 2, where the kernel has the closed form |S^{N-1}| max(r, s)^{2-N}."""
+    return abs(alpha - 2.0) < 1e-13
 
 
 def _check_alpha(dimension: int, alpha: float) -> None:
@@ -72,7 +80,8 @@ def hls_constant(dimension: int, alpha: float) -> float:
 def angular_kernel(dimension: int, alpha: float, r, s):
     """Angular integral of |x - y|^{alpha-N} over directions of y.
 
-    For N = 3 the closed form
+    At alpha = 2 this is |S^{N-1}| max(r, s)^{2-N} (Newton's theorem).  For
+    N = 3 the closed form
         (2 pi / (r s)) ((r+s)^{a-1} - |r-s|^{a-1}) / (a - 1)
     is used, with the logarithmic limit at a = 1.  For other dimensions
 
@@ -87,9 +96,11 @@ def angular_kernel(dimension: int, alpha: float, r, s):
     s = np.asarray(s, dtype=float)
     if np.any(r <= 0) or np.any(s <= 0):
         raise InvalidParameterError("angular_kernel needs positive radii")
-    if dimension == 3:
-        if abs(alpha - 2.0) < 1e-13:
+    if _is_newtonian(alpha):
+        if dimension == 3:
             return 4.0 * math.pi / np.maximum(r, s)
+        return sphere_area(dimension) * np.maximum(r, s) ** (2.0 - dimension)
+    if dimension == 3:
         if abs(alpha - 1.0) < _LOG_BRANCH_TOL:
             return (2.0 * math.pi / (r * s)) * np.log((r + s) / np.abs(r - s))
         return (
@@ -117,6 +128,10 @@ def angular_kernel(dimension: int, alpha: float, r, s):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _DYADIC_LEVELS = 30
 _BANDWIDTH = 2
+_OFFSETS = range(-_BANDWIDTH, _BANDWIDTH + 1)
+# rows per block of a cell-average pass: each side allocates rows x 180
+# quadrature points, 12 MiB per array at this size
+_BAND_BLOCK_ROWS = 8192
 
 
 def _cell_average_kernel(
@@ -138,28 +153,41 @@ def _cell_average_kernel(
     pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
-    center = np.clip(r, a, b)
-    total = np.zeros_like(r)
-    for edge in (a, b):
-        width = np.abs(edge - center)
-        mask = width > 0
-        if not np.any(mask):
-            continue
-        s_pts = center[mask, None] + (edge - center)[mask, None] * pts[None, :]
-        vals = angular_kernel(
-            dimension, alpha, np.broadcast_to(r[mask, None], s_pts.shape), s_pts
-        )
-        total[mask] += width[mask] * (vals @ wts)
-    return total / (b - a)
+    out = np.empty_like(r)
+    for lo in range(0, r.size, _BAND_BLOCK_ROWS):
+        rows = slice(lo, lo + _BAND_BLOCK_ROWS)
+        rb, ab, bb = r[rows], a[rows], b[rows]
+        center = np.clip(rb, ab, bb)
+        total = np.zeros_like(rb)
+        for edge in (ab, bb):
+            width = np.abs(edge - center)
+            mask = width > 0
+            if not np.any(mask):
+                continue
+            s_pts = center[mask, None] + (edge - center)[mask, None] * pts[None, :]
+            vals = angular_kernel(
+                dimension, alpha, np.broadcast_to(rb[mask, None], s_pts.shape), s_pts
+            )
+            total[mask] += width[mask] * (vals @ wts)
+        out[rows] = total / (bb - ab)
+    return out
 
 
-def _kernel_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
+def _band_rows(m: int, off: int) -> np.ndarray:
+    """Rows i of an m x m matrix whose column i + off exists."""
+    return np.arange(max(0, -off), min(m, m - off))
+
+
+def _band_averages(grid: RadialGrid, alpha: float) -> np.ndarray:
+    """Cell averages of k(r_i, .) over the quadrature cell of node i + off:
+    row off + 2 holds offset off = -2..2, column i holds node i, and
+    entries whose node i + off is off the mesh are zero.
+
+    Point values of the singular kernel next to the diagonal would cost an
+    order of accuracy; averages restore the composite rule's second order.
+    """
     r = grid.nodes
     m = r.size
-    s_mat = np.broadcast_to(r[None, :], (m, m)).copy()
-    s_mat[np.diag_indices(m)] *= 1.0 + 1e-6  # dummy values, replaced below
-    k = angular_kernel(grid.dimension, alpha, r[:, None], s_mat)
-
     # Node j's quadrature cell runs between the midpoints to its neighbors.
     edges_lo = np.empty_like(r)
     edges_hi = np.empty_like(r)
@@ -168,24 +196,80 @@ def _kernel_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
     edges_hi[:-1] = edges_lo[1:]
     edges_hi[-1] = r[-1]
 
-    # Replace a band around the diagonal by cell averages: point values of
-    # the singular kernel next to the diagonal would cost an order of
-    # accuracy; averages restore the composite rule's second order.
-    for off in range(-_BANDWIDTH, _BANDWIDTH + 1):
-        idx_i = np.arange(max(0, -off), min(m, m - off))
+    band = np.zeros((len(_OFFSETS), m))
+    for row, off in enumerate(_OFFSETS):
+        idx_i = _band_rows(m, off)
         idx_j = idx_i + off
-        k[idx_i, idx_j] = _cell_average_kernel(
+        band[row, idx_i] = _cell_average_kernel(
             grid.dimension, alpha, r[idx_i], edges_lo[idx_j], edges_hi[idx_j]
         )
-    k = 0.5 * (k + k.T)
-    if not np.all(np.isfinite(k)) or np.any(k <= 0):
+    return band
+
+
+def _check_entries(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)) or np.any(values <= 0):
         raise InvalidParameterError("kernel matrix has non-finite or non-positive entries")
+
+
+def _kernel_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
+    """Dense reduced kernel: point values off the band, cell averages on it,
+    symmetrised."""
+    r = grid.nodes
+    m = r.size
+    s_mat = np.broadcast_to(r[None, :], (m, m)).copy()
+    s_mat[np.diag_indices(m)] *= 1.0 + 1e-6  # dummy values, replaced below
+    k = angular_kernel(grid.dimension, alpha, r[:, None], s_mat)
+    band = _band_averages(grid, alpha)
+    for row, off in enumerate(_OFFSETS):
+        idx_i = _band_rows(m, off)
+        k[idx_i, idx_i + off] = band[row, idx_i]
+    k = 0.5 * (k + k.T)
+    _check_entries(k)
     return k
+
+
+def _newtonian_operator(grid: RadialGrid) -> np.ndarray:
+    """The alpha = 2 reduced kernel as (6, M) data, holding the entries of
+    _kernel_matrix(grid, 2.0) up to rounding.
+
+    Row 0 holds the point weights w_j = k(r_j, r_j); off the band the entry
+    (i, j) is w[max(i, j)], since k depends on max(r, s) alone.  Rows 1..5
+    hold, for offsets -2..2, the symmetrised band entry (i, i + off) minus
+    that point value, at column i.
+    """
+    r = grid.nodes
+    m = r.size
+    w = angular_kernel(grid.dimension, 2.0, r, r)
+    band = _band_averages(grid, 2.0)
+    data = np.zeros((1 + len(_OFFSETS), m))
+    data[0] = w
+    for row, off in enumerate(_OFFSETS):
+        idx_i = _band_rows(m, off)
+        idx_j = idx_i + off
+        # band[-off] at column j is the transposed entry (j, i)
+        sym = 0.5 * (band[row, idx_i] + band[-1 - row, idx_j])
+        _check_entries(sym)
+        data[1 + row, idx_i] = sym - w[np.maximum(idx_i, idx_j)]
+    _check_entries(w)
+    return data
+
+
+def _newtonian_apply(data: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The alpha = 2 reduced kernel given by _newtonian_operator, times x."""
+    w = data[0]
+    y = w * np.cumsum(x)  # columns j <= i
+    y[:-1] += np.cumsum((w * x)[::-1])[::-1][1:]  # columns j > i
+    m = x.size
+    for row, off in enumerate(_OFFSETS, start=1):
+        lo, hi = max(0, -off), min(m, m - off)
+        y[lo:hi] += data[row, lo:hi] * x[lo + off : hi + off]
+    return y
 
 
 @dataclass(frozen=True, eq=False)
 class RieszKernel:
-    """Dense angularly reduced kernel for one mesh and alpha."""
+    """Angularly reduced kernel for one mesh and alpha: a dense M x M matrix,
+    or at alpha = 2 the (6, M) data of the O(M) Newtonian operator."""
 
     alpha: float
     dimension: int
@@ -196,17 +280,23 @@ class RieszKernel:
         """(I_alpha * f) sampled on the nodes, including the normalization."""
         g = self.grid
         norm = riesz_normalization(self.dimension, self.alpha)
-        return norm * (self.reduced_kernel @ (values * g.volume_weights))
+        weighted = values * g.volume_weights
+        if _is_newtonian(self.alpha):
+            return norm * _newtonian_apply(self.reduced_kernel, weighted)
+        return norm * (self.reduced_kernel @ weighted)
 
     def bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
         """Double integral of u(x) v(y) |x-y|^{alpha-N} (no normalization)."""
         g = self.grid
         uw = u * g.volume_weights
         vw = v * g.volume_weights
+        if _is_newtonian(self.alpha):
+            return float(g.sphere_area * (uw @ _newtonian_apply(self.reduced_kernel, vw)))
         return float(g.sphere_area * (uw @ self.reduced_kernel @ vw))
 
 
-# 8192 nodes is a 512 MiB matrix, and a build holds about three at once
+# 8192 nodes is a 512 MiB dense matrix, and a build holds about three at
+# once; the alpha = 2 operator is O(M) and bounded by the grid's own limit
 MAX_KERNEL_NODES = 8192
 _kernel_cache: dict[tuple, RieszKernel] = {}
 
@@ -217,18 +307,21 @@ def _mesh_key(grid: RadialGrid) -> tuple:
 
 
 def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
-    """Kernel matrix for one mesh and exponent, built on first use and shared
-    by every equal mesh; more than MAX_KERNEL_NODES nodes are refused first."""
+    """Reduced kernel for one mesh and exponent, built on first use and
+    shared by every equal mesh; a dense kernel (alpha != 2) on more than
+    MAX_KERNEL_NODES nodes is refused first."""
     _check_alpha(grid.dimension, alpha)
+    newtonian = _is_newtonian(alpha)
     m = grid.node_count
-    if m > MAX_KERNEL_NODES:
+    if not newtonian and m > MAX_KERNEL_NODES:
         raise InvalidParameterError(
             f"a dense Riesz kernel on {m} nodes needs {8 * m * m >> 20} MiB; the limit is "
             f"{MAX_KERNEL_NODES} nodes"
         )
     key = (_mesh_key(grid), alpha)
     if key not in _kernel_cache:
-        _kernel_cache[key] = RieszKernel(alpha, grid.dimension, grid, _kernel_matrix(grid, alpha))
+        data = _newtonian_operator(grid) if newtonian else _kernel_matrix(grid, alpha)
+        _kernel_cache[key] = RieszKernel(alpha, grid.dimension, grid, data)
     return _kernel_cache[key]
 
 

@@ -71,6 +71,9 @@ class SolveOptions:
     max_iter: int = 2000
 
     def __post_init__(self):
+        for name in ("tol_residual", "max_iter"):
+            if isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a number, not a boolean")
         if not 0.0 < self.tol_residual < math.inf:
             raise InvalidParameterError("tol_residual must be positive and finite")
         if self.max_iter < 1:

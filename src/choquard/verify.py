@@ -33,6 +33,7 @@ __all__ = [
 RIPPLE_TOL = 1e-8  # relative tolerance for "radially nonincreasing"
 CRITICAL_GAP = 1e-2  # exponent distance treated as "at" a critical value
 RESIDUAL_TOL = 1e-6  # residual a converged solve must reach for the weak-solution check
+MOUNTAIN_PASS_TOL = 1e-6  # relative gap between J and the maximum of its fiber
 
 
 @dataclass(frozen=True)
@@ -71,19 +72,19 @@ class VerificationReport:
         }
 
 
-def check_pohozaev_identity(
-    u: RadialField, params: Params, tol: float = POHOZAEV_TOL
-) -> CheckResult:
-    """|P(u)| <= tol (kinetic + mass); holds at every finite-energy solution."""
+def check_pohozaev_identity(u: RadialField, params: Params) -> CheckResult:
+    """|P(u)| <= POHOZAEV_TOL (kinetic + mass); holds at every finite-energy
+    solution."""
     bd = breakdown(u, params)
     scale = bd.kinetic + bd.mass
     p_val = pohozaev_of(bd, params)
     if scale == 0.0:
         return CheckResult("pohozaev_identity", 0.0, 0.0, True, "degenerate zero field")
-    return CheckResult("pohozaev_identity", abs(p_val), tol * scale, abs(p_val) <= tol * scale)
+    bound = POHOZAEV_TOL * scale
+    return CheckResult("pohozaev_identity", abs(p_val), bound, abs(p_val) <= bound)
 
 
-def check_mountain_pass_consistency(report: SolveReport, tol: float = 1e-6) -> CheckResult:
+def check_mountain_pass_consistency(report: SolveReport) -> CheckResult:
     """The ground state maximizes its own fiber: J(u) = max_tau J(u_tau)."""
     if report.status != "converged":
         raise InvalidParameterError("mountain-pass check needs a converged report")
@@ -100,7 +101,8 @@ def check_mountain_pass_consistency(report: SolveReport, tol: float = 1e-6) -> C
     scan_max = max(float(-res.fun), float(vals[k]))
     gap = abs(report.J - scan_max)
     note = f"tau_max={res.x:.6g}"
-    return CheckResult("mountain_pass_consistency", gap, tol * abs(report.J), gap <= tol * abs(report.J), note)
+    bound = MOUNTAIN_PASS_TOL * abs(report.J)
+    return CheckResult("mountain_pass_consistency", gap, bound, gap <= bound, note)
 
 
 def _is_nonincreasing(values: np.ndarray) -> bool:

@@ -71,7 +71,9 @@ class TestSolveCommand:
             raise AssertionError("kernel matrix built")
 
         monkeypatch.setattr(riesz, "_kernel_matrix", refuse)
-        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", grid={"M": 16384})
+        cfg = write_config(
+            tmp_path / "cfg.json", tmp_path / "run", params={"alpha": 1.5}, grid={"M": 16384}
+        )
         assert main(["solve", "--config", str(cfg)]) == 3
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "InvalidParameterError"
@@ -325,6 +327,10 @@ class TestMalformedInput:
             pytest.param("solve", {"params": {"N": 3.9}}, [], id="N-not-integral"),
             pytest.param("solve", {"grid": {"M": 512.7}}, [], id="grid-M-not-integral"),
             pytest.param("solve", {"params": {"lambda": None}}, [], id="lambda-null"),
+            pytest.param("solve", {"params": {"lambda": True}}, [], id="lambda-boolean"),
+            pytest.param("solve", {"solve": {"tol_residual": True}}, [], id="tol-residual-boolean"),
+            pytest.param("solve", {"solve": {"max_iter": True}}, [], id="max-iter-boolean"),
+            pytest.param("solve", {"seed": False}, [], id="seed-boolean"),
             pytest.param("solve", 5, [], id="top-level-number"),
             pytest.param("sweep", {"sweep": {"p": ["x"]}}, [], id="sweep-axis-not-a-number"),
             pytest.param(

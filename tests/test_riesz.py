@@ -144,12 +144,71 @@ class TestKernelMatrix:
 
         monkeypatch.setattr(riesz, "_kernel_matrix", refuse)
         with pytest.raises(InvalidParameterError, match="8193 nodes"):
-            kernel_for(build_grid(3, 30.0, 8193), 2.0)
+            kernel_for(build_grid(3, 30.0, 8193), 1.5)
 
     def test_node_limit_admits_8192(self, monkeypatch):
         monkeypatch.setattr(riesz, "_kernel_cache", {})
         monkeypatch.setattr(riesz, "_kernel_matrix", lambda grid, alpha: np.ones((1, 1)))
-        assert kernel_for(build_grid(3, 30.0, 8192), 2.0).reduced_kernel.shape == (1, 1)
+        assert kernel_for(build_grid(3, 30.0, 8192), 1.5).reduced_kernel.shape == (1, 1)
+
+    def test_band_blocks_match_one_block(self, monkeypatch):
+        g = build_grid(3, 30.0, 1000)
+        whole = riesz._band_averages(g, 2.0)
+        monkeypatch.setattr(riesz, "_BAND_BLOCK_ROWS", 100)
+        blocked = riesz._band_averages(g, 2.0)
+        assert np.max(np.abs(blocked - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+class TestNewtonianOperator:
+    def test_large_mesh_builds_without_dense_matrix(self, monkeypatch):
+        def refuse(grid, alpha):
+            raise AssertionError("kernel matrix built")
+
+        monkeypatch.setattr(riesz, "_kernel_cache", {})
+        monkeypatch.setattr(riesz, "_kernel_matrix", refuse)
+        g = build_grid(3, 30.0, 16384)
+        kernel = kernel_for(g, 2.0)
+        assert kernel.reduced_kernel.nbytes <= 48 * g.node_count
+        assert np.all(np.isfinite(kernel.convolve(np.exp(-g.nodes))))
+
+    @pytest.mark.parametrize("m", [256, 1024])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_dense_matrix(self, n, m, rng):
+        g = build_grid(n, 30.0, m)
+        dense = riesz._kernel_matrix(g, 2.0)
+        kernel = kernel_for(g, 2.0)
+        norm = riesz_normalization(n, 2.0)
+        for x in (rng.random(m), rng.standard_normal(m)):
+            expected = norm * (dense @ (x * g.volume_weights))
+            got = kernel.convolve(x)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_closed_form_matches_hypergeometric(self, n):
+        import mpmath
+
+        half = mpmath.mpf(1) / 2
+        with mpmath.workdps(30):
+            c_n = (
+                2 ** (n - 1) * mpmath.pi ** ((n - 1) * half)
+                * mpmath.gamma((n - 1) * half) / mpmath.gamma(n - 1)
+            )
+            for (r, s) in [(1.0, 2.0), (0.3, 0.1), (5.0, 5.5), (2.0, 2.001), (0.05, 20.0)]:
+                r_mp, s_mp = mpmath.mpf(r), mpmath.mpf(s)
+                xi = 4 * r_mp * s_mp / (r_mp + s_mp) ** 2
+                exact = c_n * (r_mp + s_mp) ** (2 - n) * mpmath.hyp2f1(
+                    (n - 2) * half, (n - 1) * half, n - 1, xi
+                )
+                assert angular_kernel(n, 2.0, r, s) == pytest.approx(float(exact), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bilinear_matches_dense(self, n, rng):
+        g = build_grid(n, 20.0, 512, scheme="graded")
+        u, v = random_positive_field(g, rng), random_positive_field(g, rng)
+        dense = riesz._kernel_matrix(g, 2.0)
+        uw, vw = u.values * g.volume_weights, v.values * g.volume_weights
+        expected = g.sphere_area * (uw @ dense @ vw)
+        assert hls_bilinear(u, v, 2.0) == pytest.approx(expected, rel=1e-13)
 
 
 class TestRieszApply:

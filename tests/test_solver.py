@@ -45,6 +45,11 @@ class TestOptions:
         with pytest.raises(InvalidParameterError):
             SolveOptions(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(tol_residual=True), dict(max_iter=True)])
+    def test_booleans_refused(self, kwargs):
+        with pytest.raises(TypeError, match="boolean"):
+            SolveOptions(**kwargs)
+
 
 class TestGroundState:
     def test_zero_init_rejected(self, pekar_grid):

@@ -30,13 +30,13 @@ def _fake_report(field, params, status="converged", residual=1e-7):
 
 class TestPohozaevCheck:
     def test_ground_state_passes(self, pekar_report):
-        res = check_pohozaev_identity(pekar_report.profile, PEKAR, tol=1e-5)
+        res = check_pohozaev_identity(pekar_report.profile, PEKAR)
         assert res.passed
 
     def test_gaussian_fails(self):
         grid = build_grid(3, 15.0, 512, scheme="graded")
         u = sample(grid, lambda r: np.exp(-(r**2)))
-        res = check_pohozaev_identity(u, PEKAR, tol=1e-5)
+        res = check_pohozaev_identity(u, PEKAR)
         assert not res.passed
         assert res.measured > 0.1  # O(0.25)-scale violation
 
@@ -49,7 +49,7 @@ class TestPohozaevCheck:
 
 class TestMountainPassCheck:
     def test_ground_state_passes(self, pekar_report):
-        res = check_mountain_pass_consistency(pekar_report, tol=1e-6)
+        res = check_mountain_pass_consistency(pekar_report)
         assert res.passed
 
     def test_scan_maximum_location_near_one(self, pekar_report):
@@ -64,7 +64,7 @@ class TestMountainPassCheck:
             grid, pekar_report.profile.values + 0.1 * np.exp(-(grid.nodes**2))
         )
         fake = _fake_report(perturbed, PEKAR)
-        res = check_mountain_pass_consistency(fake, tol=1e-6)
+        res = check_mountain_pass_consistency(fake)
         assert not res.passed
 
     def test_rejects_unconverged(self, pekar_report):

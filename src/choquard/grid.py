@@ -12,7 +12,6 @@ solutions.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -279,11 +278,9 @@ def h1_solve(rhs: RadialField) -> RadialField:
 
 def write_profile_csv(f: RadialField, path: str | Path) -> None:
     """Serialize a field as CSV with header r,u at full double precision."""
+    rows = map("{!r},{!r}\r\n".format, f.grid.nodes.tolist(), f.values.tolist())
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "u"])
-        for r, u in zip(f.grid.nodes, f.values):
-            writer.writerow([repr(float(r)), repr(float(u))])
+        fh.write("r,u\r\n" + "".join(rows))
 
 
 def read_profile_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,17 @@ one-dimensional integral against the angularly integrated kernel
 
 for which a closed form exists: elementary for N = 3 and for alpha = 2,
 hypergeometric in general.  The reduced kernel is precomputed once per
-distinct mesh and alpha and kept for the process.  For alpha != 2 it is a
-dense M x M matrix and applying the potential is one matrix product.  For
-alpha = 2 (the Newtonian kernel |S^{N-1}| max(r, s)^{2-N}) the matrix is
-rank one in each triangle off a 5-diagonal band, so only the point weights
-and the band corrections are stored, O(M) numbers, and an apply costs two
-cumulative sums.  The integrable kernel singularity on the diagonal r = s
-is replaced by the average of k over the node's own quadrature cell.
+distinct mesh and alpha and kept for the process; no form of it stores
+the M x M matrix.  For alpha = 2 (the Newtonian kernel
+|S^{N-1}| max(r, s)^{2-N}) the matrix is rank one in each triangle off a
+5-diagonal band, so only the point weights and the band corrections are
+stored, O(M) numbers, and an apply costs two cumulative sums.  For other
+alpha it is a symmetric hierarchical (HODLR) operator: dense leaves of at
+most 64 nodes on the diagonal, and off-diagonal blocks held as low-rank
+factors built from kernel rows and columns by adaptive cross
+approximation, O(M k log M) numbers for ranks k of 10 to 40.  The
+integrable kernel singularity on the diagonal r = s is replaced by the
+average of k over the node's own quadrature cell.
 """
 
 from __future__ import annotations
@@ -211,47 +215,47 @@ def _check_entries(values: np.ndarray) -> None:
         raise InvalidParameterError("kernel matrix has non-finite or non-positive entries")
 
 
-def _kernel_matrix(grid: RadialGrid, alpha: float) -> np.ndarray:
-    """Dense reduced kernel: point values off the band, cell averages on it,
-    symmetrised."""
-    r = grid.nodes
-    m = r.size
-    s_mat = np.broadcast_to(r[None, :], (m, m)).copy()
-    s_mat[np.diag_indices(m)] *= 1.0 + 1e-6  # dummy values, replaced below
-    k = angular_kernel(grid.dimension, alpha, r[:, None], s_mat)
-    band = _band_averages(grid, alpha)
+def _band_apply(y: np.ndarray, corrections: np.ndarray, x: np.ndarray) -> None:
+    """Add the band corrections times x to y in place: row off + 2 of
+    corrections holds the entry (i, i + off) at column i, off = -2..2."""
+    m = x.size
     for row, off in enumerate(_OFFSETS):
-        idx_i = _band_rows(m, off)
-        k[idx_i, idx_i + off] = band[row, idx_i]
-    k = 0.5 * (k + k.T)
-    _check_entries(k)
-    return k
+        lo, hi = max(0, -off), min(m, m - off)
+        y[lo:hi] += corrections[row, lo:hi] * x[lo + off : hi + off]
 
 
-def _newtonian_operator(grid: RadialGrid) -> np.ndarray:
-    """The alpha = 2 reduced kernel as (6, M) data, holding the entries of
-    _kernel_matrix(grid, 2.0) up to rounding.
+def _band_corrections(grid: RadialGrid, alpha: float, stored) -> np.ndarray:
+    """(5, M) corrections that turn an operator's own entries on the band
+    into the symmetrised cell averages, in the form _band_apply reads.
 
-    Row 0 holds the point weights w_j = k(r_j, r_j); off the band the entry
-    (i, j) is w[max(i, j)], since k depends on max(r, s) alone.  Rows 1..5
-    hold, for offsets -2..2, the symmetrised band entry (i, i + off) minus
-    that point value, at column i.
+    stored(off, i, j) gives the operator's entries (i, j) for index arrays
+    on the diagonal at offset off.
     """
-    r = grid.nodes
-    m = r.size
-    w = angular_kernel(grid.dimension, 2.0, r, r)
-    band = _band_averages(grid, 2.0)
-    data = np.zeros((1 + len(_OFFSETS), m))
-    data[0] = w
+    m = grid.node_count
+    band = _band_averages(grid, alpha)
+    corrections = np.zeros_like(band)
     for row, off in enumerate(_OFFSETS):
         idx_i = _band_rows(m, off)
         idx_j = idx_i + off
         # band[-off] at column j is the transposed entry (j, i)
         sym = 0.5 * (band[row, idx_i] + band[-1 - row, idx_j])
         _check_entries(sym)
-        data[1 + row, idx_i] = sym - w[np.maximum(idx_i, idx_j)]
+        corrections[row, idx_i] = sym - stored(off, idx_i, idx_j)
+    return corrections
+
+
+def _newtonian_operator(grid: RadialGrid) -> np.ndarray:
+    """The alpha = 2 reduced kernel as (6, M) data.
+
+    Row 0 holds the point weights w_j = k(r_j, r_j); off the band the entry
+    (i, j) is w[max(i, j)], since k depends on max(r, s) alone.  Rows 1..5
+    hold the band corrections against those point values.
+    """
+    r = grid.nodes
+    w = angular_kernel(grid.dimension, 2.0, r, r)
     _check_entries(w)
-    return data
+    corrections = _band_corrections(grid, 2.0, lambda off, i, j: w[np.maximum(i, j)])
+    return np.vstack((w, corrections))
 
 
 def _newtonian_apply(data: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -259,44 +263,197 @@ def _newtonian_apply(data: np.ndarray, x: np.ndarray) -> np.ndarray:
     w = data[0]
     y = w * np.cumsum(x)  # columns j <= i
     y[:-1] += np.cumsum((w * x)[::-1])[::-1][1:]  # columns j > i
-    m = x.size
-    for row, off in enumerate(_OFFSETS, start=1):
-        lo, hi = max(0, -off), min(m, m - off)
-        y[lo:hi] += data[row, lo:hi] * x[lo + off : hi + off]
+    _band_apply(y, data[1:], x)
     return y
+
+
+# Dense diagonal leaves hold at most this many nodes.
+_LEAF_NODES = 64
+# ACA stops once the newest cross is below this fraction of the running
+# approximation; the QR + SVD recompression then drops singular values
+# below _RECOMPRESS_TOL of the largest.  A tighter ACA tolerance chases
+# the rounding noise of the kernel formula into ranks of several hundred.
+_ACA_TOL = 1e-14
+_RECOMPRESS_TOL = 1e-13
+
+
+@dataclass(frozen=True, eq=False)
+class HodlrOperator:
+    """Symmetric hierarchical (HODLR) form of the reduced kernel for alpha != 2.
+
+    The mesh is padded with zeros to leaf * 2^L nodes and split in halves L
+    times.  leaves[b] is the dense block of point values on leaf b, with a
+    zero diagonal.  factors[l] has shape (2^l, 2, n, k) for the blocks
+    split at depth l, n = padded / 2^(l+1): the block (left half, right
+    half) of pair b is factors[l][b, 0] @ factors[l][b, 1].T, and the
+    block (right, left) is its transpose.  band holds the corrections
+    that turn those point values into the symmetrised cell averages on
+    the 5-diagonal band, in the (5, M) form _band_apply reads.
+    """
+
+    leaves: np.ndarray
+    factors: tuple[np.ndarray, ...]
+    band: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored leaves, factors and band."""
+        return self.leaves.nbytes + self.band.nbytes + sum(f.nbytes for f in self.factors)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The reduced kernel times x: one batched product for the leaves,
+        and per tree level one for the coefficients and one to expand them."""
+        m = x.size
+        count, leaf, _ = self.leaves.shape
+        xp = np.zeros(count * leaf)
+        xp[:m] = x
+        y = np.matmul(self.leaves, xp.reshape(count, leaf, 1)).ravel()
+        for f in self.factors:
+            coeffs = np.matmul(xp.reshape(f.shape[0], 2, 1, -1), f)
+            # each half receives its factor times the other half's coefficients
+            y += np.matmul(f, coeffs[:, ::-1].swapaxes(2, 3)).ravel()
+        y = y[:m]
+        _band_apply(y, self.band, x)
+        return y
+
+
+def _aca(row_of, col_of, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive cross approximation with partial pivoting (Bebendorf 2000):
+    factors U, V with U @ V.T matching the rows x cols block whose row i
+    is row_of(i) and column j is col_of(j)."""
+    # crosses are stored as rows, in buffers that double when full
+    u_mat = np.zeros((16, rows))
+    v_mat = np.zeros((16, cols))
+    free = np.ones(rows, dtype=bool)
+    norm2 = 0.0
+    rank = 0
+    i = 0
+    while rank < min(rows, cols) and free.any():
+        free[i] = False
+        row = row_of(i) - u_mat[:rank, i] @ v_mat[:rank]
+        j = int(np.argmax(np.abs(row)))
+        if row[j] == 0.0:
+            i = int(np.argmax(free))
+            continue
+        v = row / row[j]
+        u = col_of(j) - v_mat[:rank, j] @ u_mat[:rank]
+        cross2 = (u @ u) * (v @ v)
+        norm2 += cross2 + 2.0 * float((u_mat[:rank] @ u) @ (v_mat[:rank] @ v))
+        if rank == u_mat.shape[0]:
+            u_mat = np.concatenate((u_mat, np.zeros_like(u_mat)))
+            v_mat = np.concatenate((v_mat, np.zeros_like(v_mat)))
+        u_mat[rank], v_mat[rank] = u, v
+        rank += 1
+        if cross2 <= _ACA_TOL**2 * norm2:
+            break
+        i = int(np.argmax(np.where(free, np.abs(u), -1.0)))
+    return u_mat[:rank].T, v_mat[:rank].T
+
+
+def _recompress(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest factors of u @ v.T up to _RECOMPRESS_TOL, by QR and SVD."""
+    qu, ru = np.linalg.qr(u)
+    qv, rv = np.linalg.qr(v)
+    w, sigma, zt = np.linalg.svd(ru @ rv.T)
+    keep = int(np.count_nonzero(sigma > _RECOMPRESS_TOL * sigma[0]))
+    return qu @ (w[:, :keep] * sigma[:keep]), qv @ zt[:keep].T
+
+
+def _hodlr_operator(grid: RadialGrid, alpha: float) -> HodlrOperator:
+    """The alpha != 2 reduced kernel, built from kernel rows and columns
+    without forming the M x M matrix.
+
+    Its entries are those of the dense kernel: point values k(r_i, r_j)
+    off the 5-diagonal band, symmetrised cell averages on it.  Each
+    off-diagonal block is compressed with its column j scaled by
+    r_j^(N - alpha), which undoes the r^(alpha - N) growth of k toward the
+    origin, so that the compression error is small against every entry
+    and not only against the largest.
+    """
+    n = grid.dimension
+    r = grid.nodes
+    m = r.size
+    depth = max(0, math.ceil(math.log2(m / _LEAF_NODES)))
+    leaf = -(-m // (1 << depth))
+    padded = leaf << depth
+    scale = r ** (n - alpha)
+
+    def kernel(ri, rj):
+        values = angular_kernel(n, alpha, ri, rj)
+        _check_entries(values)
+        return values
+
+    leaves = np.zeros((1 << depth, leaf, leaf))
+    for b, lo in enumerate(range(0, m, leaf)):
+        idx = np.arange(lo, min(lo + leaf, m))
+        off_diag = idx[:, None] != idx[None, :]
+        ri, rj = np.broadcast_arrays(r[idx, None], r[None, idx])
+        leaves[b, : idx.size, : idx.size][off_diag] = kernel(ri[off_diag], rj[off_diag])
+
+    factors = []
+    for level in range(depth):
+        size = padded >> (level + 1)
+        blocks = []
+        for lo in range(0, padded, 2 * size):
+            rows = np.arange(lo, min(lo + size, m))
+            cols = np.arange(lo + size, min(lo + 2 * size, m))
+            if cols.size == 0:
+                blocks.append((np.zeros((0, 0)), np.zeros((0, 0))))
+                continue
+            u, v = _aca(
+                lambda i: kernel(r[rows[i]], r[cols]) * scale[cols],
+                lambda j: kernel(r[rows], r[cols[j]]) * scale[cols[j]],
+                rows.size,
+                cols.size,
+            )
+            u, v = _recompress(u, v)
+            blocks.append((u, v / scale[cols, None]))
+        rank = max(u.shape[1] for u, _ in blocks)
+        f = np.zeros((len(blocks), 2, size, rank))
+        for b, (u, v) in enumerate(blocks):
+            f[b, 0, : u.shape[0], : u.shape[1]] = u
+            f[b, 1, : v.shape[0], : v.shape[1]] = v
+        factors.append(f)
+
+    # the leaves hold point values off the diagonal and zero on it
+    corrections = _band_corrections(
+        grid, alpha, lambda off, i, j: kernel(r[i], r[j]) if off else 0.0
+    )
+    return HodlrOperator(leaves, tuple(factors), corrections)
 
 
 @dataclass(frozen=True, eq=False)
 class RieszKernel:
-    """Angularly reduced kernel for one mesh and alpha: a dense M x M matrix,
-    or at alpha = 2 the (6, M) data of the O(M) Newtonian operator."""
+    """Angularly reduced kernel for one mesh and alpha: a HodlrOperator, or
+    at alpha = 2 the (6, M) data of the O(M) Newtonian operator."""
 
     alpha: float
     dimension: int
     grid: RadialGrid
-    reduced_kernel: np.ndarray
+    reduced_kernel: np.ndarray | HodlrOperator
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        if _is_newtonian(self.alpha):
+            return _newtonian_apply(self.reduced_kernel, x)
+        return self.reduced_kernel.apply(x)
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         """(I_alpha * f) sampled on the nodes, including the normalization."""
         g = self.grid
         norm = riesz_normalization(self.dimension, self.alpha)
-        weighted = values * g.volume_weights
-        if _is_newtonian(self.alpha):
-            return norm * _newtonian_apply(self.reduced_kernel, weighted)
-        return norm * (self.reduced_kernel @ weighted)
+        return norm * self._apply(values * g.volume_weights)
 
     def bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
         """Double integral of u(x) v(y) |x-y|^{alpha-N} (no normalization)."""
         g = self.grid
         uw = u * g.volume_weights
         vw = v * g.volume_weights
-        if _is_newtonian(self.alpha):
-            return float(g.sphere_area * (uw @ _newtonian_apply(self.reduced_kernel, vw)))
-        return float(g.sphere_area * (uw @ self.reduced_kernel @ vw))
+        return float(g.sphere_area * (uw @ self._apply(vw)))
 
 
-# 8192 nodes is a 512 MiB dense matrix, and a build holds about three at
-# once; the alpha = 2 operator is O(M) and bounded by the grid's own limit
+# Largest mesh for an alpha != 2 kernel.  Its HODLR operator is about 15 MB
+# at 8192 nodes and builds in seconds, but no computation here needs more
+# nodes; the alpha = 2 operator is O(M) and bounded by the grid's own limit.
 MAX_KERNEL_NODES = 8192
 _kernel_cache: dict[tuple, RieszKernel] = {}
 
@@ -308,19 +465,19 @@ def _mesh_key(grid: RadialGrid) -> tuple:
 
 def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
     """Reduced kernel for one mesh and exponent, built on first use and
-    shared by every equal mesh; a dense kernel (alpha != 2) on more than
+    shared by every equal mesh; for alpha != 2 a mesh of more than
     MAX_KERNEL_NODES nodes is refused first."""
     _check_alpha(grid.dimension, alpha)
     newtonian = _is_newtonian(alpha)
     m = grid.node_count
     if not newtonian and m > MAX_KERNEL_NODES:
         raise InvalidParameterError(
-            f"a dense Riesz kernel on {m} nodes needs {8 * m * m >> 20} MiB; the limit is "
+            f"a Riesz kernel with alpha != 2 on {m} nodes is refused; the limit is "
             f"{MAX_KERNEL_NODES} nodes"
         )
     key = (_mesh_key(grid), alpha)
     if key not in _kernel_cache:
-        data = _newtonian_operator(grid) if newtonian else _kernel_matrix(grid, alpha)
+        data = _newtonian_operator(grid) if newtonian else _hodlr_operator(grid, alpha)
         _kernel_cache[key] = RieszKernel(alpha, grid.dimension, grid, data)
     return _kernel_cache[key]
 

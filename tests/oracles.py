@@ -133,6 +133,27 @@ def dense_fiber_max(bd, params, span: float = 64.0, points: int = 4001) -> tuple
     return t_best, fiber_energy_of(bd, t_best, params)
 
 
+def dense_kernel_matrix(grid, alpha: float) -> np.ndarray:
+    """Dense M x M reduced Riesz kernel: point values of the angular kernel
+    off the 5-diagonal band, the package's cell averages on it, symmetrised.
+
+    The reference for the compressed operators, which must hold the same
+    entries without forming this matrix.
+    """
+    from choquard import riesz
+
+    r = grid.nodes
+    m = r.size
+    s_mat = np.broadcast_to(r[None, :], (m, m)).copy()
+    s_mat[np.diag_indices(m)] *= 1.0 + 1e-6  # dummy values, replaced below
+    k = riesz.angular_kernel(grid.dimension, alpha, r[:, None], s_mat)
+    band = riesz._band_averages(grid, alpha)
+    for row, off in enumerate(range(-2, 3)):
+        idx_i = np.arange(max(0, -off), min(m, m - off))
+        k[idx_i, idx_i + off] = band[row, idx_i]
+    return 0.5 * (k + k.T)
+
+
 def random_positive_field(grid, rng: np.random.Generator):
     """Sum of a few positive Gaussian humps, decaying well inside rmax."""
     from choquard.grid import RadialField

@@ -68,9 +68,9 @@ class TestSolveCommand:
         import choquard.riesz as riesz
 
         def refuse(grid, alpha):
-            raise AssertionError("kernel matrix built")
+            raise AssertionError("kernel operator built")
 
-        monkeypatch.setattr(riesz, "_kernel_matrix", refuse)
+        monkeypatch.setattr(riesz, "_hodlr_operator", refuse)
         cfg = write_config(
             tmp_path / "cfg.json", tmp_path / "run", params={"alpha": 1.5}, grid={"M": 16384}
         )

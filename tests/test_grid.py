@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -210,6 +212,18 @@ class TestFieldIO:
         r, u = read_profile_csv(path)
         assert np.array_equal(r, g.nodes)
         assert np.array_equal(u, f.values)
+
+    def test_profile_bytes_match_csv_writer(self, tmp_path, rng):
+        g = build_grid(3, 5.0, 256)
+        f = RadialField(g, rng.standard_normal(g.node_count) * 10.0 ** rng.uniform(-300, 300, 256))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["r", "u"])
+        for r, u in zip(g.nodes, f.values):
+            writer.writerow([repr(float(r)), repr(float(u))])
+        path = tmp_path / "profile.csv"
+        write_profile_csv(f, path)
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_field_validation(self):
         g = build_grid(3, 5.0, 64)

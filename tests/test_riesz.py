@@ -17,11 +17,22 @@ from choquard import (
     sample,
 )
 from choquard import riesz
-from choquard.extremals import pekar_extremal
+from choquard.extremals import pekar_extremal, talenti
 from choquard.functionals import Params, breakdown
 from choquard.grid import grid_from_nodes, read_profile_csv, write_profile_csv
 
-from oracles import gamma_hls_constant, random_positive_field, theta_kernel_oracle
+import oracles
+from oracles import (
+    dense_kernel_matrix,
+    gamma_hls_constant,
+    random_positive_field,
+    theta_kernel_oracle,
+)
+
+
+def materialise(operator, m: int) -> np.ndarray:
+    """The operator's matrix, column by column."""
+    return np.column_stack([operator.apply(e) for e in np.eye(m)])
 
 
 class TestNormalization:
@@ -111,10 +122,10 @@ class TestAngularKernel:
 class TestKernelMatrix:
     def test_symmetry_and_positivity(self):
         g = build_grid(4, 10.0, 128, scheme="graded")
-        k = kernel_for(g, 1.5).reduced_kernel
-        assert np.max(np.abs(k - k.T)) < 1e-12
-        assert np.all(k > 0)
+        k = materialise(kernel_for(g, 1.5).reduced_kernel, g.node_count)
         assert np.all(np.isfinite(k))
+        assert np.all(k > 0)
+        assert np.all(np.abs(k - k.T) <= 1e-12 * k)
 
     def test_cache_reuse(self):
         g = build_grid(3, 10.0, 64)
@@ -140,16 +151,17 @@ class TestKernelMatrix:
 
     def test_oversized_mesh_refused_before_building(self, monkeypatch):
         def refuse(grid, alpha):
-            raise AssertionError("kernel matrix built")
+            raise AssertionError("kernel operator built")
 
-        monkeypatch.setattr(riesz, "_kernel_matrix", refuse)
+        monkeypatch.setattr(riesz, "_hodlr_operator", refuse)
         with pytest.raises(InvalidParameterError, match="8193 nodes"):
             kernel_for(build_grid(3, 30.0, 8193), 1.5)
 
     def test_node_limit_admits_8192(self, monkeypatch):
+        stand_in = np.ones((1, 1))
         monkeypatch.setattr(riesz, "_kernel_cache", {})
-        monkeypatch.setattr(riesz, "_kernel_matrix", lambda grid, alpha: np.ones((1, 1)))
-        assert kernel_for(build_grid(3, 30.0, 8192), 1.5).reduced_kernel.shape == (1, 1)
+        monkeypatch.setattr(riesz, "_hodlr_operator", lambda grid, alpha: stand_in)
+        assert kernel_for(build_grid(3, 30.0, 8192), 1.5).reduced_kernel is stand_in
 
     def test_band_blocks_match_one_block(self, monkeypatch):
         g = build_grid(3, 30.0, 1000)
@@ -162,10 +174,10 @@ class TestKernelMatrix:
 class TestNewtonianOperator:
     def test_large_mesh_builds_without_dense_matrix(self, monkeypatch):
         def refuse(grid, alpha):
-            raise AssertionError("kernel matrix built")
+            raise AssertionError("kernel operator built")
 
         monkeypatch.setattr(riesz, "_kernel_cache", {})
-        monkeypatch.setattr(riesz, "_kernel_matrix", refuse)
+        monkeypatch.setattr(riesz, "_hodlr_operator", refuse)
         g = build_grid(3, 30.0, 16384)
         kernel = kernel_for(g, 2.0)
         assert kernel.reduced_kernel.nbytes <= 48 * g.node_count
@@ -175,7 +187,7 @@ class TestNewtonianOperator:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_dense_matrix(self, n, m, rng):
         g = build_grid(n, 30.0, m)
-        dense = riesz._kernel_matrix(g, 2.0)
+        dense = dense_kernel_matrix(g, 2.0)
         kernel = kernel_for(g, 2.0)
         norm = riesz_normalization(n, 2.0)
         for x in (rng.random(m), rng.standard_normal(m)):
@@ -205,10 +217,83 @@ class TestNewtonianOperator:
     def test_bilinear_matches_dense(self, n, rng):
         g = build_grid(n, 20.0, 512, scheme="graded")
         u, v = random_positive_field(g, rng), random_positive_field(g, rng)
-        dense = riesz._kernel_matrix(g, 2.0)
+        dense = dense_kernel_matrix(g, 2.0)
         uw, vw = u.values * g.volume_weights, v.values * g.volume_weights
         expected = g.sphere_area * (uw @ dense @ vw)
         assert hls_bilinear(u, v, 2.0) == pytest.approx(expected, rel=1e-13)
+
+
+class TestHodlrOperator:
+    @pytest.mark.parametrize("m", [63, 777, 1000, 2048])
+    @pytest.mark.parametrize("n,alpha", [(4, 1.0), (3, 1.5), (3, 0.5), (3, 2.9), (3, 0.1)])
+    def test_matches_dense_oracle(self, n, alpha, m, rng):
+        # the kernel spans many orders of magnitude on a graded mesh, so
+        # every bound is relative to each entry or node, never to a maximum
+        g = build_grid(n, 20.0, m, scheme="graded")
+        dense = dense_kernel_matrix(g, alpha)
+        kernel = kernel_for(g, alpha)
+        got = materialise(kernel.reduced_kernel, m)
+        assert np.max(np.abs(got - dense) / dense) <= 1e-10
+
+        norm = riesz_normalization(n, alpha)
+        gauss = np.exp(-(g.nodes**2))
+        inputs = (gauss, gauss**2.4, talenti(g, 0.01).values, rng.random(m))
+        for x in inputs:
+            expected = norm * (dense @ (x * g.volume_weights))
+            assert np.max(np.abs(kernel.convolve(x) - expected) / expected) <= 1e-10
+
+        u, v = gauss, rng.random(m)
+        expected = g.sphere_area * ((u * g.volume_weights) @ dense @ (v * g.volume_weights))
+        assert kernel.bilinear(u, v) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.5, 0.5])
+    def test_entries_on_geometric_mesh(self, alpha):
+        # columns of one block differ by up to 10^11 here; compressing them
+        # unscaled costs small columns their relative accuracy
+        g = grid_from_nodes(3, np.geomspace(1e-6, 20.0, 1000))
+        dense = dense_kernel_matrix(g, alpha)
+        got = materialise(kernel_for(g, alpha).reduced_kernel, g.node_count)
+        assert np.max(np.abs(got - dense) / dense) <= 1e-10
+
+    def test_large_mesh_builds_without_dense_matrix(self, monkeypatch):
+        def refuse(grid, alpha):
+            raise AssertionError("dense kernel matrix built")
+
+        monkeypatch.setattr(riesz, "_kernel_cache", {})
+        monkeypatch.setattr(oracles, "dense_kernel_matrix", refuse)
+        g = build_grid(3, 30.0, 8192)
+        kernel = kernel_for(g, 1.5)
+        assert kernel.reduced_kernel.nbytes <= 8 * g.node_count**2 / 20
+        assert np.all(np.isfinite(kernel.convolve(np.exp(-g.nodes))))
+
+    @pytest.mark.parametrize(
+        "site,bad",
+        [("leaf", np.nan), ("cross", -1.0), ("band", np.inf)],
+    )
+    def test_bad_kernel_values_refused(self, site, bad, monkeypatch):
+        # each site is a kernel value only one part of the build samples:
+        # a pair inside one leaf, the first row of the top-level
+        # low-rank block, and the quadrature points of one band cell
+        g = build_grid(3, 10.0, 256, scheme="graded")
+        r = g.nodes
+        original = riesz.angular_kernel
+
+        def poisoned(dimension, alpha, ri, si):
+            values = np.array(original(dimension, alpha, ri, si), dtype=float)
+            ri, si = np.broadcast_arrays(ri, si)
+            if site == "leaf":
+                hit = (ri == r[10]) & (si == r[20])
+            elif site == "cross":
+                hit = (ri == r[0]) & (si == r[-1])
+            else:
+                hit = (ri == r[100]) & ~np.isin(si, r)
+            values[hit] = bad
+            return values
+
+        monkeypatch.setattr(riesz, "_kernel_cache", {})
+        monkeypatch.setattr(riesz, "angular_kernel", poisoned)
+        with pytest.raises(InvalidParameterError, match="non-finite or non-positive"):
+            kernel_for(g, 1.5)
 
 
 class TestRieszApply:

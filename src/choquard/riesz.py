@@ -87,7 +87,9 @@ def angular_kernel(dimension: int, alpha: float, r, s):
     At alpha = 2 this is |S^{N-1}| max(r, s)^{2-N} (Newton's theorem).  For
     N = 3 the closed form
         (2 pi / (r s)) ((r+s)^{a-1} - |r-s|^{a-1}) / (a - 1)
-    is used, with the logarithmic limit at a = 1.  For other dimensions
+    is used, with the logarithmic limit at a = 1, both evaluated through
+    2 atanh(min/max) = log((r+s)/|r-s|) without cancellation.  For other
+    dimensions
 
         k(r, s) = c_N (r+s)^{alpha-N} 2F1((N-alpha)/2, (N-1)/2; N-1; xi),
         xi = 4 r s / (r+s)^2,
@@ -105,13 +107,16 @@ def angular_kernel(dimension: int, alpha: float, r, s):
             return 4.0 * math.pi / np.maximum(r, s)
         return sphere_area(dimension) * np.maximum(r, s) ** (2.0 - dimension)
     if dimension == 3:
+        # log((r+s)/|r-s|) = 2 atanh(min/max), taken as log1p of a ratio
+        # that keeps full precision both for r << s and next to r = s;
+        # the power difference is then (r+s)^{a-1} (1 - e^{-(a-1) log}),
+        # free of the cancellation of subtracting the two powers.
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log1p(2.0 * np.minimum(r, s) / np.abs(r - s))
         if abs(alpha - 1.0) < _LOG_BRANCH_TOL:
-            return (2.0 * math.pi / (r * s)) * np.log((r + s) / np.abs(r - s))
-        return (
-            (2.0 * math.pi / (r * s))
-            * ((r + s) ** (alpha - 1.0) - np.abs(r - s) ** (alpha - 1.0))
-            / (alpha - 1.0)
-        )
+            return (2.0 * math.pi / (r * s)) * log_ratio
+        a = alpha - 1.0
+        return (2.0 * math.pi / (r * s)) * (r + s) ** a * -np.expm1(-a * log_ratio) / a
     n = dimension
     log_c = (
         (n - 1.0) * math.log(2.0)

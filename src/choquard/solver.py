@@ -1,10 +1,19 @@
-"""Ground states by projected descent on the Pohozaev manifold.
+"""Ground states by projected descent on the Pohozaev manifold, then an
+inexact Newton polish of the Euler-Lagrange residual.
 
-Each iteration takes a preconditioned gradient step u <- u - eta g, where
-g is the H^1 representative of J'(u), replaces u by |u|, and dilates
-back onto {P = 0}.  The reduced energy is monotone under Armijo
-backtracking, and at convergence the iterate is an unconstrained critical
-point, so the Pohozaev and Nehari identities hold to tolerance.
+Phase 1 takes preconditioned gradient steps u <- u - eta g, where g is the
+H^1 representative of J'(u), replaces u by |u|, and dilates back onto
+{P = 0}.  The reduced energy is monotone under Armijo backtracking.
+
+Phase 2 solves g(u) = 0 by inexact Newton-Krylov: each step solves
+(I - A^{-1} J''(u)) delta = g with A = -Lap + 1 by GMRES to an
+Eisenstat-Walker forcing tolerance, and accepts u - t delta once ||g||_{H^1}
+falls by the factor 1 - 1e-4 t over at most eight halvings of t.  Where no
+trial is accepted (for p < 2, |u|^{p-2} blows up on the tail) it takes a
+descent step on 1/2 ||g||^2 instead.  Every Jacobian application and every
+trial residual costs one kernel product and counts as one iteration.  At
+convergence the iterate is an unconstrained critical point, so the
+Pohozaev and Nehari identities hold to tolerance.
 
 A continuation driver walks an exponent toward its critical value by
 geometric gap halving, warm-starting each solve from the previous profile,
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import DegenerateFieldError, InvalidParameterError, NumericalFailureError
 from .functionals import (
@@ -34,7 +44,7 @@ from .functionals import (
     project_tau,
     residual_of,
 )
-from .grid import RadialField, RadialGrid, h1_inner, h1_norm, h1_solve, sample
+from .grid import RadialField, RadialGrid, h1_norm, h1_solve, sample
 from .riesz import kernel_for
 
 __all__ = [
@@ -52,6 +62,13 @@ CONTINUATION_TARGETS = ("p-upper", "p-lower", "q-upper", "double")
 # Projected descent: first trial step and Armijo backtracking factor.
 STEP = 1.0
 BACKTRACK = 0.5
+# Newton polish: Eisenstat-Walker forcing range, Krylov dimension cap,
+# halvings of the Newton step and its sufficient decrease of ||g||.
+NEWTON_FORCING_MAX = 0.1
+NEWTON_FORCING_MIN = 1e-4
+KRYLOV_MAX = 60
+NEWTON_HALVINGS = 8
+NEWTON_DECREASE = 1e-4
 # A converged solve has |P| <= POHOZAEV_TOL (kinetic + mass).
 POHOZAEV_TOL = 1e-5
 
@@ -158,23 +175,27 @@ def default_initial_guess(grid: RadialGrid) -> RadialField:
     return sample(grid, lambda r: np.exp(-(r**2)))
 
 
-def _lsq_direction(u, potential, g, grid, params: Params, kern) -> np.ndarray:
-    """Preconditioned gradient of 1/2 ||g||_{H^1}^2, i.e. (I - A^{-1}M J'')g.
+def _jacobian(u, potential, grid, params: Params, kern):
+    """The action v -> (I - A^{-1} J''(u)) v of the derivative of g at u,
+    with A = -Lap + 1.  It is self-adjoint in H^1, so applied to g it gives
+    the H^1 gradient of 1/2 ||g||_{H^1}^2.
 
-    Costs one extra kernel product for the nonlocal Hessian action.  For
-    p < 2 the pointwise Hessian factor |u|^{p-2} blows up on the zero set;
-    there the subgradient 0 is used (the zero set carries no mass for the
+    Each application costs one kernel product and one H^1 solve.  For
+    p < 2 the pointwise factor |u|^{p-2} blows up on the zero set; there
+    the subgradient 0 is used (the zero set carries no mass for the
     positive profiles this phase sees, and the line search guards descent).
     """
     p, q, mu, lam = params.p, params.q, params.mu, params.lam
     up1 = odd_power(u, p - 1.0)
-    conv = kern.convolve(up1 * g)
-    dng = mu * p * conv * up1
     with np.errstate(divide="ignore"):
         hess = np.where(u != 0.0, np.abs(u) ** (p - 2.0), 0.0)
-    dng += mu * (p - 1.0) * potential * hess * g
-    dng += lam * (q - 1.0) * np.abs(u) ** (q - 2.0) * g
-    return g - h1_solve(RadialField(grid, dng)).values
+    local = mu * (p - 1.0) * potential * hess + lam * (q - 1.0) * np.abs(u) ** (q - 2.0)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        dng = mu * p * kern.convolve(up1 * v) * up1 + local * v
+        return v - h1_solve(RadialField(grid, dng)).values
+
+    return apply
 
 
 def ground_state(
@@ -186,13 +207,17 @@ def ground_state(
     """Minimize J over the Pohozaev manifold starting from init.
 
     Runs projected descent (gradient step, |u|, dilation back onto
-    {P = 0}) until the residual is small, then polishes by descent on the
-    squared H^1 residual, whose zeros are the unconstrained critical
-    points; this removes the interpolation-noise floor of per-step
-    resampling.  Raises DegenerateFieldError for a zero (or kinetically
-    degenerate) initial field and NumericalFailureError on non-finite
-    iterates.  When a list is passed as trace, one record per accepted
-    iteration is appended.
+    {P = 0}) until the residual is small, then polishes by inexact Newton
+    on the residual g, whose zeros are the unconstrained critical points;
+    this removes the interpolation-noise floor of per-step resampling.
+    The status is "converged" when the residual is at tolerance and |P| is
+    within POHOZAEV_TOL (kinetic + mass); otherwise the dichotomy rule's
+    "vanishing" or "concentrating", else "pohozaev_defect" for a residual
+    at tolerance and "max_iter" for one above it.  Raises
+    DegenerateFieldError for a zero (or kinetically degenerate) initial
+    field and NumericalFailureError on non-finite iterates.  When a list is
+    passed as trace, one record per accepted step of either phase is
+    appended.
     """
     grid = init.grid
     if grid.dimension != params.N:
@@ -262,39 +287,66 @@ def ground_state(
                  "J": energy_of(bd, params), "residual": residual}
             )
 
-    # Phase 2: monotone decrease of the residual norm itself.
-    if residual > opts.tol_residual and bd.kinetic > 0 and bd.nonlocal_term > 0:
-        eta = 1.0
-        prev_u = prev_d = None
-        while iterations < opts.max_iter and residual > opts.tol_residual:
+    # Phase 2: inexact Newton on g(u) = 0.  Every Jacobian application and
+    # every trial residual costs one kernel product and counts as one
+    # iteration, so max_iter bounds this phase's kernel products.
+    def search(direction, tries, decrease):
+        """The first trial u - t direction, t = 1, 1/2, ..., whose residual
+        is below (1 - decrease t) times the current one, as (values,
+        breakdown, potential, g, residual); None if none is within budget."""
+        nonlocal iterations
+        t = 1.0
+        for _ in range(tries):
+            if iterations >= opts.max_iter:
+                return None
             iterations += 1
-            d = _lsq_direction(u, potential, g_vals, grid, params, kern)
-            if prev_u is not None:
-                du = RadialField(grid, u - prev_u)
-                dd = RadialField(grid, d - prev_d)
-                num = h1_inner(du, dd)
-                den = h1_inner(dd, dd)
-                if den > 0 and num > 0:
-                    eta = min(max(num / den, 1e-3), 100.0)
-            prev_u, prev_d = u.copy(), d.copy()
-            step = eta
-            improved = False
-            for _ in range(50):
-                trial = u - step * d
-                if not np.all(np.isfinite(trial)):
-                    raise NumericalFailureError(
-                        "non-finite iterate", {"iteration": iterations, "step": step}
-                    )
-                bd_t, pot_t = integrals(trial, grid, params, kern)
-                g_t, res_t = residual_of(trial, pot_t, grid, params)
-                if res_t < residual:
-                    u, potential, bd = trial, pot_t, bd_t
-                    g_vals, residual = g_t, res_t
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
+            trial = u - t * direction
+            if not np.all(np.isfinite(trial)):
+                raise NumericalFailureError(
+                    "non-finite iterate", {"iteration": iterations, "step": t}
+                )
+            bd_t, pot_t = integrals(trial, grid, params, kern)
+            g_t, res_t = residual_of(trial, pot_t, grid, params)
+            if res_t < (1.0 - decrease * t) * residual:
+                return trial, bd_t, pot_t, g_t, res_t
+            t *= 0.5
+        return None
+
+    def counted(v):
+        """The Jacobian at the current iterate, one iteration per application."""
+        nonlocal iterations
+        iterations += 1
+        return jac(v)
+
+    if residual > opts.tol_residual and bd.kinetic > 0 and bd.nonlocal_term > 0:
+        prev_residual = None
+        while iterations < opts.max_iter and residual > opts.tol_residual:
+            jac = _jacobian(u, potential, grid, params, kern)
+            room = opts.max_iter - iterations
+            step = None
+            if room >= 3:
+                # Eisenstat-Walker forcing, choice 2
+                forcing = NEWTON_FORCING_MAX
+                if prev_residual is not None:
+                    ew = 0.9 * (residual / prev_residual) ** 2
+                    forcing = min(forcing, max(NEWTON_FORCING_MIN, ew))
+                # one restart cycle; gmres applies the operator once more after
+                # it, and the budget keeps one trial residual after that
+                delta, _ = gmres(
+                    LinearOperator((u.size, u.size), matvec=counted, dtype=float),
+                    g_vals, rtol=forcing, atol=0.0,
+                    restart=min(KRYLOV_MAX, room - 2), maxiter=1,
+                )
+                if np.all(np.isfinite(delta)):
+                    step = search(delta, NEWTON_HALVINGS + 1, NEWTON_DECREASE)
+            if step is None and iterations < opts.max_iter:
+                # descent on 1/2 ||g||^2 along its H^1 gradient, needed where
+                # |u|^{p-2} spoils the Newton step (p < 2)
+                step = search(counted(g_vals), 50, 0.0)
+            if step is None:
                 break
+            prev_residual = residual
+            u, bd, potential, g_vals, residual = step
             if trace is not None:
                 trace.append(
                     {"phase": "polish", "iteration": iterations,
@@ -306,7 +358,8 @@ def ground_state(
     if residual <= opts.tol_residual and abs(P_val) <= POHOZAEV_TOL * (bd.kinetic + bd.mass):
         status = "converged"
     else:
-        status = _dichotomy(first, profile) or "max_iter"
+        stop = "pohozaev_defect" if residual <= opts.tol_residual else "max_iter"
+        status = _dichotomy(first, profile) or stop
     return SolveReport(profile, params, bd, residual, iterations, status)
 
 

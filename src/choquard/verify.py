@@ -168,17 +168,14 @@ def run_verification(
     ]
     if report.status == "converged":
         checks.append(check_mountain_pass_consistency(report))
-        # Pohozaev + Nehari holding together must be witnessed by the
-        # solver's weak-solution residual.
-        scale = report.breakdown.kinetic + report.breakdown.mass
-        premises = abs(report.P) <= POHOZAEV_TOL * scale and abs(report.nehari) <= 1e-4 * scale
-        implied = report.residual_norm <= RESIDUAL_TOL
-        checks.append(
-            CheckResult(
-                "weak_solution_implication",
-                report.residual_norm,
-                RESIDUAL_TOL,
-                (not premises) or implied,
-            )
+    # Pohozaev + Nehari holding together must be witnessed by the solver's
+    # weak-solution residual, whatever status the solve ended with.
+    scale = report.breakdown.kinetic + report.breakdown.mass
+    premises = abs(report.P) <= POHOZAEV_TOL * scale and abs(report.nehari) <= 1e-4 * scale
+    implied = report.residual_norm <= RESIDUAL_TOL
+    checks.append(
+        CheckResult(
+            "weak_solution_implication", report.residual_norm, RESIDUAL_TOL, (not premises) or implied
         )
+    )
     return VerificationReport(checks)

@@ -112,6 +112,21 @@ class TestAngularKernel:
         assert val == pytest.approx((2 * math.pi / 2.0) * math.log(3.0), rel=1e-12)
         assert val == pytest.approx(theta_kernel_oracle(3, 1.0, 1.0, 2.0), rel=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("r,s", [(1e-6, 20.0), (1e-9, 1.0), (20.0, 1e-6), (1.0, 1.0 + 1e-9)])
+    def test_n3_full_precision_far_and_near_diagonal(self, alpha, r, s):
+        # the power difference (r+s)^{a-1} - |r-s|^{a-1} cancels for r << s
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x, y = mpmath.mpf(r), mpmath.mpf(s)
+            if alpha == 1.0:
+                diff = mpmath.log((x + y) / abs(x - y))
+            else:
+                a = mpmath.mpf(alpha) - 1
+                diff = ((x + y) ** a - abs(x - y) ** a) / a
+            exact = float(2 * mpmath.pi / (x * y) * diff)
+        assert angular_kernel(3, alpha, r, s) == pytest.approx(exact, rel=1e-13)
+
     def test_rejects_nonpositive_radii(self):
         with pytest.raises(InvalidParameterError):
             angular_kernel(3, 2.0, -1.0, 2.0)

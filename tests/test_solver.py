@@ -17,8 +17,10 @@ from choquard import (
     half_mass_radius,
     sample,
 )
+from choquard import solver
 from choquard.extremals import talenti
 from choquard.functionals import breakdown
+from choquard.riesz import RieszKernel
 from choquard.solver import SolveReport, _schedule
 
 PEKAR = Params(N=3, alpha=2.0, p=2.0, q=3.0)
@@ -95,6 +97,88 @@ class TestGroundState:
     def test_matches_bvp_oracle(self, pekar_report, pekar_grid, pekar_oracle):
         diff = np.abs(pekar_report.profile.values - pekar_oracle(pekar_grid.nodes))
         assert diff.max() < 1e-3
+
+
+class TestNewtonPolish:
+    def test_pekar_residual_falls_superlinearly(self, pekar_grid):
+        trace: list = []
+        rep = ground_state(
+            PEKAR, default_initial_guess(pekar_grid), SolveOptions(tol_residual=1e-10), trace=trace
+        )
+        assert rep.status == "converged"
+        start = [t["residual"] for t in trace if t["phase"] == "projected"][-1]
+        res = [start] + [t["residual"] for t in trace if t["phase"] == "polish"]
+        ratios = [b / a for a, b in zip(res, res[1:])]
+        # descent contracts by a fixed factor; Newton's factor itself shrinks
+        assert len(ratios) >= 3
+        assert all(b < 0.2 * a for a, b in zip(ratios, ratios[1:]))
+        assert ratios[-1] < 1e-3
+
+    def test_near_critical_warm_start_needs_few_kernel_products(self, monkeypatch):
+        grid = build_grid(4, 12.0, 1024, scheme="graded")
+        start = Params(N=4, alpha=1.0, p=2.0, q=3.0)
+        opts = SolveOptions(max_iter=600)
+        warm = continue_exponent(start, "p-upper", 5, opts, grid)[-1].profile
+        calls = 0
+        convolve = RieszKernel.convolve
+
+        def counted(self, values):
+            nonlocal calls
+            calls += 1
+            return convolve(self, values)
+
+        monkeypatch.setattr(RieszKernel, "convolve", counted)
+        rep = ground_state(start.with_(p=2.4921875), warm, opts)
+        assert rep.residual_norm <= opts.tol_residual
+        # a descent-only polish on 1/2 ||g||^2 takes 780 kernel products here
+        assert calls <= 780 // 3
+
+    def test_descent_fallback_below_p_two(self, monkeypatch):
+        # at p < 2 the Newton step fails where |u|^{p-2} blows up on the
+        # tail, and a descent step on 1/2 ||g||^2 takes over
+        in_gmres = False
+        fallbacks = 0
+        gmres, jacobian = solver.gmres, solver._jacobian
+
+        def tracked_gmres(*args, **kwargs):
+            nonlocal in_gmres
+            in_gmres = True
+            try:
+                return gmres(*args, **kwargs)
+            finally:
+                in_gmres = False
+
+        def tracked_jacobian(*args):
+            apply = jacobian(*args)
+
+            def tracked(v):
+                nonlocal fallbacks
+                fallbacks += not in_gmres
+                return apply(v)
+
+            return tracked
+
+        monkeypatch.setattr(solver, "gmres", tracked_gmres)
+        monkeypatch.setattr(solver, "_jacobian", tracked_jacobian)
+        grid = build_grid(3, 30.0, 2048, scheme="graded", gamma=2.0)
+        params = Params(N=3, alpha=2.0, p=1.799735, q=4.06809)
+        rep = ground_state(params, default_initial_guess(grid), SolveOptions(max_iter=2000))
+        assert fallbacks >= 1
+        assert rep.status == "converged"
+        # reference level from a descent-only polish on 1/2 ||g||^2
+        assert rep.J == pytest.approx(7.385169486194032, rel=1e-8)
+
+    def test_pohozaev_defect_labelled(self):
+        # at M=512 the residual converges but |P| exceeds its bound by
+        # discretization error alone
+        grid = build_grid(4, 12.0, 512, scheme="graded")
+        params = Params(N=4, alpha=1.0, p=2.0, q=3.0)
+        init = sample(grid, lambda r: 4.0 * np.exp(-(r**2)))
+        rep = ground_state(params, init, SolveOptions())
+        assert rep.residual_norm <= 1e-6
+        assert abs(rep.P) > 1e-5 * (rep.breakdown.kinetic + rep.breakdown.mass)
+        assert rep.status == "pohozaev_defect"
+        assert rep.iterations < SolveOptions().max_iter
 
 
 class TestSchedule:

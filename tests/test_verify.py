@@ -9,6 +9,7 @@ from choquard import (
     sample,
     sharp_constants,
 )
+from choquard.cli import _write_report, main
 from choquard.extremals import talenti
 from choquard.functionals import breakdown
 from choquard.solver import SolveReport
@@ -148,3 +149,15 @@ class TestRunVerification:
     def test_overall_is_conjunction(self, pekar_report):
         report = run_verification(pekar_report)
         assert report.overall == all(c.passed for c in report.checks)
+
+    def test_unconverged_report_is_held_to_its_residual(self, pekar_report, tmp_path, capsys):
+        # the profile meets the Pohozaev and Nehari bounds, but the report's
+        # own residual says it is no weak solution
+        fake = _fake_report(pekar_report.profile, PEKAR, status="max_iter", residual=1e-3)
+        assert check_pohozaev_identity(fake.profile, PEKAR).passed
+        report = run_verification(fake)
+        assert not report.overall
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == ["weak_solution_implication"]
+        _write_report(fake, tmp_path)
+        assert main(["verify", "--report", str(tmp_path / "report.json")]) == 2

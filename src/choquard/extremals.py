@@ -64,8 +64,9 @@ class SharpConstants:
     """Bundle of the constants entering the energy thresholds.
 
     The identity S_alpha = S / (A_alpha C_alpha)^{1/p_upper} holds by
-    construction; A_alpha and C_alpha are Gamma-formula values while S and
-    S_1 are measured from the extremal families on internal grids.
+    construction; A_alpha, C_alpha and S_1 = (A_alpha C_alpha)^{-N/(N+alpha)}
+    are Gamma-formula values, while S is measured from the cutoff bubbles on
+    internal grids.
     """
 
     N: int
@@ -174,14 +175,6 @@ def _sobolev_constant(dimension: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _lower_critical_constant(dimension: int, alpha: float) -> float:
-    """S_1 from the quotient of the lower-critical extremal profile."""
-    grid = build_grid(dimension, 30.0, 1024, scheme="graded")
-    bd, p_low = _lower_critical_breakdown(grid, alpha)
-    return bd.mass / bd.nonlocal_term ** (1.0 / p_low)
-
-
-@lru_cache(maxsize=None)
 def sharp_constants(dimension: int, alpha: float) -> SharpConstants:
     """All threshold constants for one (N, alpha); memoized."""
     from .riesz import hls_constant, riesz_normalization
@@ -189,7 +182,8 @@ def sharp_constants(dimension: int, alpha: float) -> SharpConstants:
     a_alpha = riesz_normalization(dimension, alpha)
     c_alpha = hls_constant(dimension, alpha)
     s = _sobolev_constant(dimension)
-    s_1 = _lower_critical_constant(dimension, alpha)
+    # the lower-critical extremal (1+r^2)^{-N/2} saturates sharp HLS (Lieb 1983)
+    s_1 = (a_alpha * c_alpha) ** (-dimension / (dimension + alpha))
     p_upper = (dimension + alpha) / (dimension - 2)
     s_alpha = s / (a_alpha * c_alpha) ** (1.0 / p_upper)
     return SharpConstants(dimension, alpha, s, s_alpha, s_1, a_alpha, c_alpha)

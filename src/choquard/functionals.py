@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateFieldError, InvalidParameterError, parse_value, require_keys
 from .grid import RadialField, RadialGrid, grad_sq, h1_norm, h1_solve
@@ -263,6 +262,11 @@ def fiber_energy(u: RadialField, tau: float, params: Params) -> float:
 
 def _fiber_slope_reduced(bd: EnergyBreakdown, params: Params):
     """phi'(tau) / tau^{N-3} as a callable; sign changes exactly once on (0, inf)."""
+    return _fiber_slope_and_derivative(bd, params)[0]
+
+
+def _fiber_slope_and_derivative(bd: EnergyBreakdown, params: Params):
+    """The reduced slope lead + quad t^2 - top t^{2+alpha} and its derivative."""
     a, b, c, d = bd.astuple()
     n, al = params.N, params.alpha
     lead = 0.5 * (n - 2) * a
@@ -272,7 +276,33 @@ def _fiber_slope_reduced(bd: EnergyBreakdown, params: Params):
     def slope(t: float) -> float:
         return lead + quad * t**2 - top * t ** (2.0 + al)
 
-    return slope
+    def derivative(t: float) -> float:
+        return 2.0 * quad * t - (2.0 + al) * top * t ** (1.0 + al)
+
+    return slope, derivative
+
+
+def _bracketed_root(f, df, lo: float, hi: float, rtol: float) -> float:
+    """The root of f in [lo, hi], f(lo) > 0 > f(hi), to relative tolerance
+    rtol: Newton steps while they stay inside the shrinking bracket,
+    bisection otherwise."""
+    t = 0.5 * (lo + hi)
+    for _ in range(200):
+        value = f(t)
+        if value == 0.0:
+            return t
+        if value > 0.0:
+            lo = t
+        else:
+            hi = t
+        slope = df(t)
+        step = t - value / slope if slope != 0.0 else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - t) <= rtol * step or hi - lo <= rtol * step:
+            return step
+        t = step
+    return t
 
 
 def project_tau(bd: EnergyBreakdown, params: Params) -> float:
@@ -286,7 +316,7 @@ def project_tau(bd: EnergyBreakdown, params: Params) -> float:
         raise DegenerateFieldError(
             "Pohozaev projection needs positive kinetic and nonlocal terms"
         )
-    slope = _fiber_slope_reduced(bd, params)
+    slope, derivative = _fiber_slope_and_derivative(bd, params)
     hi = 1.0
     for _ in range(200):
         if slope(hi) < 0:
@@ -294,7 +324,7 @@ def project_tau(bd: EnergyBreakdown, params: Params) -> float:
         hi *= 2.0
     else:
         raise DegenerateFieldError("failed to bracket the fiber maximum")
-    return float(brentq(slope, 0.0, hi, rtol=1e-13, xtol=1e-300, maxiter=200))
+    return float(_bracketed_root(slope, derivative, 0.0, hi, rtol=1e-13))
 
 
 def project_pohozaev(u: RadialField, params: Params) -> float:

@@ -15,18 +15,26 @@ stored, O(M) numbers, and an apply costs two cumulative sums.  For other
 alpha it is a symmetric hierarchical (HODLR) operator: dense leaves of at
 most 64 nodes on the diagonal, and off-diagonal blocks held as low-rank
 factors built from kernel rows and columns by adaptive cross
-approximation, O(M k log M) numbers for ranks k of 10 to 40.  The
-integrable kernel singularity on the diagonal r = s is replaced by the
-average of k over the node's own quadrature cell.
+approximation, O(M k log M) numbers for ranks k of 10 to 40.
+
+On the 5-diagonal band the kernel is replaced by its averages over the
+quadrature cells, which absorb the integrable singularity at r = s.  A
+cell not holding r takes 3 dyadic panels of 8-point Gauss-Legendre toward
+its near edge.  The cell around r is split there; with s = (alpha - 1)/2
+away from an integer, the 1 - xi connection formula writes
+k = P + |r - t|^{alpha-1} Q with P and Q smooth, integrated per side by 12
+Gauss-Legendre and 12 Gauss-Jacobi points.  Near an integer s, where that
+formula has Gamma poles, each side takes 30 dyadic panels of 6 points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1
+from scipy.special import gammaln, hyp2f1, roots_jacobi
 
 from .errors import InvalidParameterError
 from .grid import RadialField, RadialGrid, sphere_area
@@ -42,6 +50,10 @@ __all__ = [
 ]
 
 _LOG_BRANCH_TOL = 1e-8
+# Within this distance of an integer, s = (alpha - 1)/2 puts the 1 - xi
+# connection formula on Gamma poles; the kernel then comes from hyp2f1 at
+# xi itself and the diagonal cell from the dyadic rule.
+_POLE_GAP = 0.05
 
 
 def _is_newtonian(alpha: float) -> bool:
@@ -95,7 +107,11 @@ def angular_kernel(dimension: int, alpha: float, r, s):
         xi = 4 r s / (r+s)^2,
 
     which follows from the Euler integral representation of the Gegenbauer
-    reduction.  Finite for r != s; diverges on the diagonal when alpha <= 1.
+    reduction.  Where xi >= 3/4 and (alpha - 1)/2 is not near an integer,
+    the 1 - xi connection formula gives k = P + |r-s|^{alpha-1} Q with P and
+    Q hypergeometric at the small argument 1 - xi (_regular_part,
+    _singular_factor).  Finite for r != s; diverges on the diagonal when
+    alpha <= 1.
     """
     _check_alpha(dimension, alpha)
     r = np.asarray(r, dtype=float)
@@ -124,61 +140,141 @@ def angular_kernel(dimension: int, alpha: float, r, s):
         + gammaln((n - 1.0) / 2.0)
         - gammaln(n - 1.0)
     )
-    # 1 - xi computed stably; xi clamped away from 1 so hyp2f1 stays finite.
-    # Clamping only touches |r-s| < ~3e-7 max(r,s), a sliver whose kernel
-    # mass is negligible in any cell average.
-    xi = 1.0 - np.minimum(((r - s) / (r + s)) ** 2, 1.0)
-    xi = np.minimum(xi, 1.0 - 1e-13)
-    return math.exp(log_c) * (r + s) ** (alpha - n) * hyp2f1(
-        (n - alpha) / 2.0, (n - 1.0) / 2.0, n - 1.0, xi
+    y = ((r - s) / (r + s)) ** 2  # 1 - xi, computed stably
+    if _near_pole(alpha):
+        # xi clamped away from 1 so hyp2f1 stays finite.  Clamping only
+        # touches |r-s| < ~3e-7 max(r,s).
+        xi = np.minimum(1.0 - np.minimum(y, 1.0), 1.0 - 1e-13)
+        return math.exp(log_c) * (r + s) ** (alpha - n) * hyp2f1(
+            (n - alpha) / 2.0, (n - 1.0) / 2.0, n - 1.0, xi
+        )
+    r, s, y = np.broadcast_arrays(r, s, y)
+    out = np.empty(y.shape)
+    # hyp2f1 at xi itself is fast and accurate below xi = 3/4 and up to 100
+    # times slower near xi = 1; the split loses digits as 1 - xi nears 1/2
+    far = y > 0.25
+    out[far] = math.exp(log_c) * (r[far] + s[far]) ** (alpha - n) * hyp2f1(
+        (n - alpha) / 2.0, (n - 1.0) / 2.0, n - 1.0, 1.0 - y[far]
     )
+    near = ~far
+    r, s = r[near], s[near]
+    out[near] = _regular_part(n, alpha, r, s) + np.abs(r - s) ** (alpha - 1.0) * _singular_factor(
+        n, alpha, r, s
+    )
+    return out[()]
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-_DYADIC_LEVELS = 30
-_BANDWIDTH = 2
-_OFFSETS = range(-_BANDWIDTH, _BANDWIDTH + 1)
-# rows per block of a cell-average pass: each side allocates rows x 180
-# quadrature points, 12 MiB per array at this size
-_BAND_BLOCK_ROWS = 8192
+def _near_pole(alpha: float) -> bool:
+    """(alpha - 1)/2 within _POLE_GAP of an integer, where the Gamma factors
+    of the 1 - xi connection formula have poles."""
+    s = 0.5 * (alpha - 1.0)
+    return abs(s - round(s)) < _POLE_GAP
 
 
-def _cell_average_kernel(
-    dimension: int, alpha: float, r: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Average of k(r, .) over the cell [a, b], with r inside or outside.
+def _regular_part(dimension: int, alpha: float, r, t):
+    """P in k(r, t) = P + |r-t|^{alpha-1} Q, smooth in t across t = r, from
+    the 1 - xi connection formula (DLMF 15.8.4; A&S 15.3.6).  With
+    s = (alpha-1)/2 away from an integer and y = ((r-t)/(r+t))^2, for N >= 4
+        P = 2^{N-1} pi^{(N-1)/2} Gamma(s) / Gamma((N+alpha)/2 - 1)
+            (r+t)^{alpha-N} 2F1((N-alpha)/2, (N-1)/2; 1-s; y)."""
+    if dimension == 3:
+        a = alpha - 1.0
+        return (2.0 * math.pi / a) * (r + t) ** a / (r * t)
+    n, s = dimension, 0.5 * (alpha - 1.0)
+    base = 2.0 ** (n - 1) * math.pi ** ((n - 1) / 2.0)
+    gain = base * math.gamma(s) / math.gamma((n + alpha) / 2.0 - 1.0)
+    y = ((r - t) / (r + t)) ** 2
+    return gain * (r + t) ** (alpha - n) * hyp2f1((n - alpha) / 2.0, (n - 1.0) / 2.0, 1.0 - s, y)
 
-    Each side of the point closest to r is covered by dyadic panels refined
-    toward it with Gauss-Legendre quadrature per panel.  When r lies inside
-    the cell the |r-s|^{alpha-1} singularity is integrable and the
-    geometrically shrinking leftover sliver is dropped; outside, the
-    grading merely resolves the kernel's peak toward the near edge.
-    """
-    scale = 2.0 ** -np.arange(_DYADIC_LEVELS)
-    outer = np.concatenate((scale, [0.0]))  # panel edges as fractions of the side width
+
+def _singular_factor(dimension: int, alpha: float, r, t):
+    """Q in k(r, t) = P + |r-t|^{alpha-1} Q, smooth in t across t = r; for N >= 4
+        Q = 2^{N-1} pi^{(N-1)/2} Gamma(-s) / Gamma((N-alpha)/2)
+            (r+t)^{1-N} 2F1((N+alpha)/2 - 1, (N-1)/2; 1+s; y)."""
+    if dimension == 3:
+        return (-2.0 * math.pi / (alpha - 1.0)) / (r * t)
+    n, s = dimension, 0.5 * (alpha - 1.0)
+    base = 2.0 ** (n - 1) * math.pi ** ((n - 1) / 2.0)
+    gain = base * math.gamma(-s) / math.gamma((n - alpha) / 2.0)
+    y = ((r - t) / (r + t)) ** 2
+    a, b = (n + alpha) / 2.0 - 1.0, (n - 1.0) / 2.0
+    return gain * (r + t) ** (1.0 - n) * hyp2f1(a, b, 1.0 + s, y)
+
+
+def _panel_rule(levels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights on [0, 1] of `levels` dyadic panels refined toward
+    0, the last one reaching it, each with `order`-point Gauss-Legendre."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    outer = np.concatenate((2.0 ** -np.arange(levels), [0.0]))
     lo_frac, hi_frac = outer[1:], outer[:-1]
     mid = 0.5 * (lo_frac + hi_frac)
     half = 0.5 * (hi_frac - lo_frac)
-    pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    return (mid[:, None] + half[:, None] * nodes).ravel(), (half[:, None] * weights).ravel()
 
-    out = np.empty_like(r)
-    for lo in range(0, r.size, _BAND_BLOCK_ROWS):
+
+# Cells that do not hold r: the kernel's peak sits some half a cell or more
+# beyond the near edge, and 3 panels of 8 points reach 1e-15.
+_OUTSIDE_RULE = _panel_rule(3, 8)
+# The diagonal cell at (alpha - 1)/2 near an integer: 30 panels of 6 points
+# per side, the last one over the singular sliver.
+_DYADIC_RULE = _panel_rule(30, 6)
+# The diagonal cell otherwise: Gauss-Legendre for P, Gauss-Jacobi with the
+# weight x^{alpha-1} for Q, 12 points each per side.
+_SPLIT_ORDER = 12
+_SMOOTH_RULE = _panel_rule(1, _SPLIT_ORDER)
+_BANDWIDTH = 2
+_OFFSETS = range(-_BANDWIDTH, _BANDWIDTH + 1)
+# rows per block of a cell-average pass: each side evaluates rows x at most
+# 180 kernel points, 12 MiB per array at this size
+_BAND_BLOCK_ROWS = 8192
+
+
+def _side_integral(f, r, near, far, rule, power: float = 0.0) -> np.ndarray:
+    """Integral of |t - near|^power f(r, t) over t between near and far, by a
+    rule on [0, 1] whose points are fractions of the way from near to far
+    and whose weights carry the factor x^power.  Rows of zero width give 0."""
+    frac, wts = rule
+    width = np.abs(far - near)
+    out = np.zeros_like(r)
+    rows = width > 0
+    t = near[rows, None] + (far - near)[rows, None] * frac
+    out[rows] = width[rows] ** (1.0 + power) * (f(r[rows, None], t) @ wts)
+    return out
+
+
+def _diagonal_average(dimension: int, alpha: float, r, a, b) -> np.ndarray:
+    """Average of k(r, .) over the cell [a, b] around r, integrated on each
+    side of r toward the integrable |r-t|^{alpha-1} singularity."""
+    if _near_pole(alpha):
+        kernel = partial(angular_kernel, dimension, alpha)
+        total = sum(_side_integral(kernel, r, r, edge, _DYADIC_RULE) for edge in (a, b))
+        return total / (b - a)
+    # roots_jacobi(n, 0, beta) carries the weight (1 + x)^beta on [-1, 1]
+    nodes, weights = roots_jacobi(_SPLIT_ORDER, 0.0, alpha - 1.0)
+    singular = (0.5 * (1.0 + nodes), 0.5**alpha * weights)
+    regular = partial(_regular_part, dimension, alpha)
+    factor = partial(_singular_factor, dimension, alpha)
+    total = sum(
+        _side_integral(regular, r, r, edge, _SMOOTH_RULE)
+        + _side_integral(factor, r, r, edge, singular, alpha - 1.0)
+        for edge in (a, b)
+    )
+    return total / (b - a)
+
+
+def _outside_average(dimension: int, alpha: float, r, near, far) -> np.ndarray:
+    """Average of k(r, .) over a cell not holding r, with `near` its edge
+    toward r."""
+    kernel = partial(angular_kernel, dimension, alpha)
+    return _side_integral(kernel, r, near, far, _OUTSIDE_RULE) / np.abs(far - near)
+
+
+def _in_blocks(average, *columns: np.ndarray) -> np.ndarray:
+    """average(*columns) taken _BAND_BLOCK_ROWS rows at a time."""
+    out = np.empty_like(columns[0])
+    for lo in range(0, out.size, _BAND_BLOCK_ROWS):
         rows = slice(lo, lo + _BAND_BLOCK_ROWS)
-        rb, ab, bb = r[rows], a[rows], b[rows]
-        center = np.clip(rb, ab, bb)
-        total = np.zeros_like(rb)
-        for edge in (ab, bb):
-            width = np.abs(edge - center)
-            mask = width > 0
-            if not np.any(mask):
-                continue
-            s_pts = center[mask, None] + (edge - center)[mask, None] * pts[None, :]
-            vals = angular_kernel(
-                dimension, alpha, np.broadcast_to(rb[mask, None], s_pts.shape), s_pts
-            )
-            total[mask] += width[mask] * (vals @ wts)
-        out[rows] = total / (bb - ab)
+        out[rows] = average(*(c[rows] for c in columns))
     return out
 
 
@@ -209,9 +305,15 @@ def _band_averages(grid: RadialGrid, alpha: float) -> np.ndarray:
     for row, off in enumerate(_OFFSETS):
         idx_i = _band_rows(m, off)
         idx_j = idx_i + off
-        band[row, idx_i] = _cell_average_kernel(
-            grid.dimension, alpha, r[idx_i], edges_lo[idx_j], edges_hi[idx_j]
-        )
+        lo, hi = edges_lo[idx_j], edges_hi[idx_j]
+        if off == 0:
+            average = partial(_diagonal_average, grid.dimension, alpha)
+            band[row, idx_i] = _in_blocks(average, r[idx_i], lo, hi)
+        else:
+            # node i lies left of a cell with off > 0, right of one with off < 0
+            near, far = (lo, hi) if off > 0 else (hi, lo)
+            average = partial(_outside_average, grid.dimension, alpha)
+            band[row, idx_i] = _in_blocks(average, r[idx_i], near, far)
     return band
 
 

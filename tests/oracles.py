@@ -154,6 +154,48 @@ def dense_kernel_matrix(grid, alpha: float) -> np.ndarray:
     return 0.5 * (k + k.T)
 
 
+def cell_average_mp(dimension: int, alpha: float, r: float, a: float, b: float) -> float:
+    """Average of the angular kernel k(r, t) over t in the cell [a, b], by mpmath.
+
+    The kernel is taken in its hypergeometric form for every N,
+
+        k = c_N (r+t)^{alpha-N} 2F1((N-alpha)/2, (N-1)/2; N-1; xi),
+
+    not the package's closed forms or connection formula.  The integral
+    runs in the offset x = t - r, with 1 - xi = (x/(2r+x))^2 formed from x
+    and xi then taken at enough extra digits that it never rounds to 1
+    (a naive 30-digit quadrature in t returns inf at N=4, alpha <= 1).  A
+    cell holding r is split there, and each side of width w is integrated
+    in v with x = w v^m, m alpha >= 1, which leaves no unbounded factor at
+    v = 0 for tanh-sinh to truncate.
+    """
+    import mpmath as mp
+
+    digits = 16
+    with mp.workdps(digits):
+        n, al = mp.mpf(dimension), mp.mpf(alpha)
+        r, a, b = mp.mpf(r), mp.mpf(a), mp.mpf(b)
+        c_n = 2 ** (n - 1) * mp.pi ** ((n - 1) / 2) * mp.gamma((n - 1) / 2) / mp.gamma(n - 1)
+
+        def kernel(x):
+            one_minus_xi = (x / (2 * r + x)) ** 2
+            with mp.workdps(digits + 3 + max(0, int(-mp.log10(one_minus_xi)))):
+                xi = 1 - one_minus_xi
+                f = mp.hyp2f1((n - al) / 2, (n - 1) / 2, n - 1, xi)
+                return c_n * (2 * r + x) ** (al - n) * f
+
+        if not a <= r <= b:
+            return float(mp.quad(kernel, [a - r, b - r], method="gauss-legendre") / (b - a))
+        m = max(1, math.ceil(1.0 / alpha))
+
+        def side(w):
+            if w == 0:
+                return 0
+            return mp.quad(lambda v: kernel(w * v**m) * m * abs(w) * v ** (m - 1), [0, 1])
+
+        return float((side(a - r) + side(b - r)) / (b - a))
+
+
 def random_positive_field(grid, rng: np.random.Generator):
     """Sum of a few positive Gaussian humps, decaying well inside rmax."""
     from choquard.grid import RadialField

@@ -29,7 +29,6 @@ from choquard import (
     sample,
 )
 from choquard.extremals import (
-    _lower_critical_constant,
     _sobolev_constant,
     asymptotic_suite,
     critical_parameter_search,
@@ -54,7 +53,6 @@ def announce(criterion: str, ok: bool, detail: str = "") -> None:
 def test_criterion_1_constants():
     sharp_constants.cache_clear()
     _sobolev_constant.cache_clear()
-    _lower_critical_constant.cache_clear()
     t0 = time.perf_counter()
     sc = sharp_constants(3, 2.0)
     elapsed = time.perf_counter() - t0

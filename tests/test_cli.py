@@ -1,11 +1,14 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import choquard
 from choquard.cli import main
 
 
@@ -361,3 +364,17 @@ class TestMalformedInput:
         assert main([command, flag, str(path), *extra]) == 3
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "ConfigError"
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs a tenth of a second or more to import, and no
+    # command needs it
+    src = str(Path(choquard.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, choquard.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"

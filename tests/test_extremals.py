@@ -128,7 +128,7 @@ class TestPekarExtremal:
         with pytest.raises(InvalidParameterError):
             pekar_extremal(g, 0.0, 2.0)
 
-    @pytest.mark.parametrize("n,alpha", [(3, 2.0), (4, 1.0)])
+    @pytest.mark.parametrize("n,alpha", [(3, 2.0), (4, 1.0), (4, 2.5)])
     def test_quotient_attains_lower_constant(self, n, alpha):
         g = build_grid(n, 30.0, 1024, scheme="graded")
         p_low = (n + alpha) / n

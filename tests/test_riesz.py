@@ -23,6 +23,7 @@ from choquard.grid import grid_from_nodes, read_profile_csv, write_profile_csv
 
 import oracles
 from oracles import (
+    cell_average_mp,
     dense_kernel_matrix,
     gamma_hls_constant,
     random_positive_field,
@@ -127,6 +128,31 @@ class TestAngularKernel:
             exact = float(2 * mpmath.pi / (x * y) * diff)
         assert angular_kernel(3, alpha, r, s) == pytest.approx(exact, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "n,alpha", [(4, 2.5), (5, 1.5), (4, 1.1), (4, 0.89), (6, 2.2), (4, 0.3), (6, 5.5)]
+    )
+    def test_connection_split_against_mpmath(self, n, alpha, rng):
+        # (alpha - 1)/2 at 0.75, 0.25, 0.05, -0.055, 0.6, -0.35 and 2.25:
+        # xi >= 3/4 goes through P + |r-s|^{alpha-1} Q, the rest through hyp2f1
+        mpmath = pytest.importorskip("mpmath")
+        r = rng.uniform(0.01, 10.0, 40)
+        one_minus_xi = np.concatenate((10.0 ** rng.uniform(-14, np.log10(0.25), 30),
+                                       rng.uniform(0.25, 1.0, 10)))
+        q = np.sqrt(one_minus_xi)
+        s = r * (1.0 - q) / (1.0 + q)  # ((r - s)/(r + s))^2 = 1 - xi
+        got = angular_kernel(n, alpha, r, s)
+        with mpmath.workdps(40):
+            half = mpmath.mpf(1) / 2
+            c_n = (2 ** (n - 1) * mpmath.pi ** ((n - 1) * half)
+                   * mpmath.gamma((n - 1) * half) / mpmath.gamma(n - 1))
+            for ri, si, value in zip(r, s, got):
+                x, y = mpmath.mpf(ri), mpmath.mpf(si)
+                xi = 4 * x * y / (x + y) ** 2
+                exact = c_n * (x + y) ** (alpha - n) * mpmath.hyp2f1(
+                    (n - alpha) * half, (n - 1) * half, n - 1, xi
+                )
+                assert value == pytest.approx(float(exact), rel=1e-13)
+
     def test_rejects_nonpositive_radii(self):
         with pytest.raises(InvalidParameterError):
             angular_kernel(3, 2.0, -1.0, 2.0)
@@ -184,6 +210,57 @@ class TestKernelMatrix:
         monkeypatch.setattr(riesz, "_BAND_BLOCK_ROWS", 100)
         blocked = riesz._band_averages(g, 2.0)
         assert np.max(np.abs(blocked - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+class TestBandAverages:
+    # Bounds on the diagonal where (alpha - 1)/2 is an integer: that cell
+    # keeps the 30-panel dyadic rule, whose kernel values at N >= 4 come
+    # from hyp2f1 with xi clamped at 1 - 1e-13, so they cannot exceed the
+    # log singularity's value at |r - t| ~ 6e-7 r.
+    @pytest.mark.parametrize(
+        "n,alpha,diagonal_rel",
+        [(3, 0.5, 1e-12), (3, 1.0, 1e-10), (3, 1.5, 1e-12), (4, 1.0, 5e-5), (4, 2.5, 1e-12),
+         (5, 1.5, 1e-12)],
+    )
+    def test_matches_mpmath_cell_average(self, n, alpha, diagonal_rel):
+        g = build_grid(n, 20.0, 512, scheme="graded")
+        r = g.nodes
+        m = r.size
+        lo = np.concatenate(([0.5 * r[0]], 0.5 * (r[:-1] + r[1:])))
+        hi = np.concatenate((lo[1:], [r[-1]]))
+        band = riesz._band_averages(g, alpha)
+        for i in (0, 1, 5, m // 2, m - 1):
+            for row, off in enumerate(range(-2, 3)):
+                j = i + off
+                if not 0 <= j < m:
+                    continue
+                exact = cell_average_mp(n, alpha, r[i], lo[j], hi[j])
+                bound = diagonal_rel if off == 0 else 1e-12
+                assert band[row, i] == pytest.approx(exact, rel=bound), (i, off)
+
+    @pytest.mark.parametrize("alpha,limit", [(1.0, 950_000), (2.5, 300_000)])
+    def test_kernel_points_per_band(self, alpha, limit, monkeypatch):
+        # N=4, M=2048: the 4 rows beside the diagonal take 24 points per
+        # cell; the diagonal 48 per cell, or 360 where (alpha - 1)/2 is an
+        # integer.  Points angular_kernel passes on to the split count once.
+        points = []
+        depth = [0]
+        for name in ("angular_kernel", "_regular_part", "_singular_factor"):
+            original = getattr(riesz, name)
+
+            def counted(*args, original=original):
+                depth[0] += 1
+                try:
+                    values = original(*args)
+                finally:
+                    depth[0] -= 1
+                if depth[0] == 0:
+                    points.append(np.size(values))
+                return values
+
+            monkeypatch.setattr(riesz, name, counted)
+        riesz._band_averages(build_grid(4, 12.0, 2048, scheme="graded"), alpha)
+        assert sum(points) <= limit
 
 
 class TestNewtonianOperator:
@@ -260,6 +337,15 @@ class TestHodlrOperator:
         u, v = gauss, rng.random(m)
         expected = g.sphere_area * ((u * g.volume_weights) @ dense @ (v * g.volume_weights))
         assert kernel.bilinear(u, v) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n,alpha", [(4, 2.5), (5, 1.5)])
+    def test_matches_dense_oracle_through_connection_split(self, n, alpha):
+        # (alpha - 1)/2 away from an integer: entries near the diagonal come
+        # from P + |r-s|^{alpha-1} Q, the rest from hyp2f1
+        g = build_grid(n, 20.0, 777, scheme="graded")
+        dense = dense_kernel_matrix(g, alpha)
+        got = materialise(kernel_for(g, alpha).reduced_kernel, g.node_count)
+        assert np.max(np.abs(got - dense) / dense) <= 1e-10
 
     @pytest.mark.parametrize("alpha", [1.5, 0.5])
     def test_entries_on_geometric_mesh(self, alpha):

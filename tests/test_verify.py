@@ -59,6 +59,18 @@ class TestMountainPassCheck:
         tau_max, _ = dense_fiber_max(pekar_report.breakdown, PEKAR)
         assert abs(tau_max - 1.0) < 1e-4
 
+    @pytest.mark.parametrize("bump", [0.0, 0.1])
+    def test_matches_dense_fiber_scan(self, pekar_report, bump):
+        from oracles import dense_fiber_max
+
+        grid = pekar_report.profile.grid
+        field = RadialField(grid, pekar_report.profile.values + bump * np.exp(-(grid.nodes**2)))
+        fake = _fake_report(field, PEKAR)
+        tau_max, scan_max = dense_fiber_max(fake.breakdown, PEKAR)
+        res = check_mountain_pass_consistency(fake)
+        assert res.measured == pytest.approx(abs(fake.J - scan_max), abs=1e-13 * abs(fake.J))
+        assert float(res.note.removeprefix("tau_max=")) == pytest.approx(tau_max, rel=1e-5)
+
     def test_perturbed_profile_fails(self, pekar_report):
         grid = pekar_report.profile.grid
         perturbed = RadialField(

@@ -10,7 +10,9 @@ V = A (1 + r^2)^{-N/2}.  Their four energy integrals, fitted against
 dyadic parameter sweeps, reproduce the classical expansion orders, and
 their fiber maxima give computable upper bounds for the critical least
 energy levels.  Margins of those bounds against the sharp-constant
-thresholds decide when a critical ground state exists.
+thresholds decide when a critical ground state exists.  The sharp
+constants are Gamma-function closed forms, and every integral is taken
+by functionals.py.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from .errors import (
     InvalidParameterError,
     NonMonotoneMarginError,
 )
-from .functionals import Params, breakdown, reduced_energy
-from .grid import RadialField, RadialGrid, build_grid, grad_sq, lp_norm
+from .functionals import Params, breakdown, local_integrals, reduced_energy
+from .grid import RadialField, RadialGrid, build_grid
+from .riesz import hls_constant, riesz_normalization
 
 __all__ = [
     "SharpConstants",
@@ -63,10 +66,10 @@ SEARCH_TOL = 0.05
 class SharpConstants:
     """Bundle of the constants entering the energy thresholds.
 
-    The identity S_alpha = S / (A_alpha C_alpha)^{1/p_upper} holds by
-    construction; A_alpha, C_alpha and S_1 = (A_alpha C_alpha)^{-N/(N+alpha)}
-    are Gamma-formula values, while S is measured from the cutoff bubbles on
-    internal grids.
+    Every field is a Gamma-formula value: A_alpha, C_alpha, the Sobolev
+    constant S = N(N-2) pi (Gamma(N/2)/Gamma(N))^{2/N} (Aubin-Talenti),
+    S_1 = (A_alpha C_alpha)^{-N/(N+alpha)} (Lieb), and
+    S_alpha = S / (A_alpha C_alpha)^{1/p_upper}.
     """
 
     N: int
@@ -150,43 +153,19 @@ def pekar_extremal(grid: RadialGrid, delta: float, alpha: float) -> RadialField:
     return RadialField(grid, vals)
 
 
-def _bubble_quotient(grid: RadialGrid, epsilon: float) -> float:
-    n = grid.dimension
-    u = cutoff_bubble(grid, epsilon)
-    return grad_sq(u) / lp_norm(u, 2.0 * n / (n - 2.0)) ** 2
-
-
-@lru_cache(maxsize=None)
-def _sobolev_constant(dimension: int) -> float:
-    """Best Sobolev constant from the cutoff-bubble quotient.
-
-    Richardson in the concentration scale removes the O(eps^{N-2}) cutoff
-    deficit, Richardson over two grids removes the O(h^2) quadrature bias.
-    """
-    grid_a = build_grid(dimension, 4.0, 1536, scheme="graded")
-    grid_b = build_grid(dimension, 4.0, 3072, scheme="graded")
-    eps0 = 2.0**-7 if dimension == 3 else 2.0**-5
-    fac = 2.0 ** (dimension - 2)
-
-    def eps_extrapolated(grid: RadialGrid) -> float:
-        return (fac * _bubble_quotient(grid, eps0 / 2) - _bubble_quotient(grid, eps0)) / (fac - 1.0)
-
-    return (4.0 * eps_extrapolated(grid_b) - eps_extrapolated(grid_a)) / 3.0
-
-
 @lru_cache(maxsize=None)
 def sharp_constants(dimension: int, alpha: float) -> SharpConstants:
     """All threshold constants for one (N, alpha); memoized."""
-    from .riesz import hls_constant, riesz_normalization
-
-    a_alpha = riesz_normalization(dimension, alpha)
-    c_alpha = hls_constant(dimension, alpha)
-    s = _sobolev_constant(dimension)
+    n = dimension
+    a_alpha = riesz_normalization(n, alpha)
+    c_alpha = hls_constant(n, alpha)
+    # the bubble (1+r^2)^{-(N-2)/2} attains S (Talenti 1976)
+    s = n * (n - 2) * math.pi * (math.gamma(n / 2.0) / math.gamma(n)) ** (2.0 / n)
     # the lower-critical extremal (1+r^2)^{-N/2} saturates sharp HLS (Lieb 1983)
-    s_1 = (a_alpha * c_alpha) ** (-dimension / (dimension + alpha))
-    p_upper = (dimension + alpha) / (dimension - 2)
+    s_1 = (a_alpha * c_alpha) ** (-n / (n + alpha))
+    p_upper = (n + alpha) / (n - 2)
     s_alpha = s / (a_alpha * c_alpha) ** (1.0 / p_upper)
-    return SharpConstants(dimension, alpha, s, s_alpha, s_1, a_alpha, c_alpha)
+    return SharpConstants(n, alpha, s, s_alpha, s_1, a_alpha, c_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +243,15 @@ def asymptotic_suite(
     kernel_grid = build_grid(dimension, 4.0, num_nodes, scheme="graded")
     fine_grid = build_grid(dimension, 4.0, fine_nodes, scheme="graded")
     params = Params(N=dimension, alpha=alpha, p=p, q=q)
-    vw = fine_grid.sphere_area * fine_grid.volume_weights
 
     resolved = []
     table = {"a": [], "b": [], "c": [], "d": []}
     for eps in eps_arr:
         resolved.append(_grid_resolves(fine_grid, eps) and _grid_resolves(kernel_grid, eps))
-        u_fine = cutoff_bubble(fine_grid, eps)
-        table["a"].append(grad_sq(u_fine))
-        table["b"].append(float(vw @ u_fine.values**2))
-        table["d"].append(float(vw @ np.abs(u_fine.values) ** q))
+        a, b, d = local_integrals(cutoff_bubble(fine_grid, eps), q)
+        table["a"].append(a)
+        table["b"].append(b)
+        table["d"].append(d)
         table["c"].append(breakdown(cutoff_bubble(kernel_grid, eps), params).nonlocal_term)
 
     ok = np.asarray(resolved)
@@ -432,7 +410,6 @@ def threshold_check(
     params: Params,
     case: str,
     family_values: list[float],
-    constants: SharpConstants | None = None,
     num_nodes: int = 2048,
 ) -> MarginReport:
     """Margins of the critical-level upper bounds against the thresholds.
@@ -451,9 +428,7 @@ def threshold_check(
         )
     if not family_values:
         raise InvalidParameterError("need at least one family parameter")
-    if constants is None:
-        constants = sharp_constants(params.N, params.alpha)
-    thresholds = threshold_value(case, params, constants)
+    thresholds = threshold_value(case, params, sharp_constants(params.N, params.alpha))
 
     families: dict[str, list[MarginRow]] = {}
     if case in ("lower-critical-p", "doubly-critical"):
@@ -500,7 +475,6 @@ def critical_parameter_search(
     case: str,
     family_values: list[float],
     bracket: tuple[float, float] = (1.0, 1e6),
-    constants: SharpConstants | None = None,
     num_nodes: int = 1024,
 ) -> SearchResult:
     """Smallest knob value with a positive threshold margin, by bisection.
@@ -515,12 +489,10 @@ def critical_parameter_search(
     lo, hi = bracket
     if not (0 < lo < hi):
         raise InvalidParameterError(f"invalid bracket {bracket}")
-    if constants is None:
-        constants = sharp_constants(params.N, params.alpha)
 
     def margin_at(value: float) -> float:
         trial = params.with_(lam=value) if knob == "lambda" else params.with_(mu=value)
-        report = threshold_check(trial, case, family_values, constants, num_nodes)
+        report = threshold_check(trial, case, family_values, num_nodes)
         return max(row.margin for rows in report.families.values() for row in rows)
 
     sample_points = np.geomspace(lo, hi, SEARCH_SAMPLES)

@@ -133,6 +133,25 @@ def angular_kernel(dimension: int, alpha: float, r, s):
             return (2.0 * math.pi / (r * s)) * log_ratio
         a = alpha - 1.0
         return (2.0 * math.pi / (r * s)) * (r + s) ** a * -np.expm1(-a * log_ratio) / a
+    y = ((r - s) / (r + s)) ** 2  # 1 - xi, computed stably
+    # hyp2f1 at xi itself is fast and accurate below xi = 3/4 and up to 100
+    # times slower near xi = 1; the split loses digits as 1 - xi nears 1/2
+    near = None if _near_pole(alpha) else y <= 0.25
+    if near is None or not near.any():
+        return _hypergeometric_form(dimension, alpha, r, s, y)
+    r, s, y = np.broadcast_arrays(r, s, y)
+    far = ~near
+    out = np.empty(y.shape)
+    out[far] = _hypergeometric_form(dimension, alpha, r[far], s[far], y[far])
+    r, s = r[near], s[near]
+    singular = np.abs(r - s) ** (alpha - 1.0) * _singular_factor(dimension, alpha, r, s)
+    out[near] = _regular_part(dimension, alpha, r, s) + singular
+    return out[()]
+
+
+def _hypergeometric_form(dimension: int, alpha: float, r, s, y):
+    """k(r, s) = c_N (r+s)^{alpha-N} 2F1((N-alpha)/2, (N-1)/2; N-1; xi) for
+    N >= 4, given y = 1 - xi."""
     n = dimension
     log_c = (
         (n - 1.0) * math.log(2.0)
@@ -140,28 +159,13 @@ def angular_kernel(dimension: int, alpha: float, r, s):
         + gammaln((n - 1.0) / 2.0)
         - gammaln(n - 1.0)
     )
-    y = ((r - s) / (r + s)) ** 2  # 1 - xi, computed stably
-    if _near_pole(alpha):
-        # xi clamped away from 1 so hyp2f1 stays finite.  Clamping only
-        # touches |r-s| < ~3e-7 max(r,s).
-        xi = np.minimum(1.0 - np.minimum(y, 1.0), 1.0 - 1e-13)
-        return math.exp(log_c) * (r + s) ** (alpha - n) * hyp2f1(
-            (n - alpha) / 2.0, (n - 1.0) / 2.0, n - 1.0, xi
-        )
-    r, s, y = np.broadcast_arrays(r, s, y)
-    out = np.empty(y.shape)
-    # hyp2f1 at xi itself is fast and accurate below xi = 3/4 and up to 100
-    # times slower near xi = 1; the split loses digits as 1 - xi nears 1/2
-    far = y > 0.25
-    out[far] = math.exp(log_c) * (r[far] + s[far]) ** (alpha - n) * hyp2f1(
-        (n - alpha) / 2.0, (n - 1.0) / 2.0, n - 1.0, 1.0 - y[far]
+    # xi clamped away from 1 so hyp2f1 stays finite; the clamp touches only
+    # |r-s| < ~3e-7 max(r,s), which the split takes unless (alpha - 1)/2 is
+    # near an integer
+    xi = np.minimum(1.0 - np.minimum(y, 1.0), 1.0 - 1e-13)
+    return math.exp(log_c) * (r + s) ** (alpha - n) * hyp2f1(
+        (n - alpha) / 2.0, (n - 1.0) / 2.0, n - 1.0, xi
     )
-    near = ~far
-    r, s = r[near], s[near]
-    out[near] = _regular_part(n, alpha, r, s) + np.abs(r - s) ** (alpha - 1.0) * _singular_factor(
-        n, alpha, r, s
-    )
-    return out[()]
 
 
 def _near_pole(alpha: float) -> bool:
@@ -351,27 +355,40 @@ def _band_corrections(grid: RadialGrid, alpha: float, stored) -> np.ndarray:
     return corrections
 
 
-def _newtonian_operator(grid: RadialGrid) -> np.ndarray:
-    """The alpha = 2 reduced kernel as (6, M) data.
+@dataclass(frozen=True, eq=False)
+class NewtonianOperator:
+    """The alpha = 2 reduced kernel in O(M) numbers.
 
-    Row 0 holds the point weights w_j = k(r_j, r_j); off the band the entry
-    (i, j) is w[max(i, j)], since k depends on max(r, s) alone.  Rows 1..5
-    hold the band corrections against those point values.
+    weights holds the point values w_j = k(r_j, r_j); off the band the
+    entry (i, j) is w[max(i, j)], since k depends on max(r, s) alone.  band
+    holds the corrections against those point values on the 5-diagonal
+    band, in the (5, M) form _band_apply reads.
     """
+
+    weights: np.ndarray
+    band: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored weights and band."""
+        return self.weights.nbytes + self.band.nbytes
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The reduced kernel times x, by two cumulative sums."""
+        w = self.weights
+        y = w * np.cumsum(x)  # columns j <= i
+        y[:-1] += np.cumsum((w * x)[::-1])[::-1][1:]  # columns j > i
+        _band_apply(y, self.band, x)
+        return y
+
+
+def _newtonian_operator(grid: RadialGrid) -> NewtonianOperator:
+    """The alpha = 2 reduced kernel from its point weights and band."""
     r = grid.nodes
     w = angular_kernel(grid.dimension, 2.0, r, r)
     _check_entries(w)
     corrections = _band_corrections(grid, 2.0, lambda off, i, j: w[np.maximum(i, j)])
-    return np.vstack((w, corrections))
-
-
-def _newtonian_apply(data: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The alpha = 2 reduced kernel given by _newtonian_operator, times x."""
-    w = data[0]
-    y = w * np.cumsum(x)  # columns j <= i
-    y[:-1] += np.cumsum((w * x)[::-1])[::-1][1:]  # columns j > i
-    _band_apply(y, data[1:], x)
-    return y
+    return NewtonianOperator(w, corrections)
 
 
 # Dense diagonal leaves hold at most this many nodes.
@@ -532,30 +549,25 @@ def _hodlr_operator(grid: RadialGrid, alpha: float) -> HodlrOperator:
 @dataclass(frozen=True, eq=False)
 class RieszKernel:
     """Angularly reduced kernel for one mesh and alpha: a HodlrOperator, or
-    at alpha = 2 the (6, M) data of the O(M) Newtonian operator."""
+    at alpha = 2 the O(M) NewtonianOperator."""
 
     alpha: float
     dimension: int
     grid: RadialGrid
-    reduced_kernel: np.ndarray | HodlrOperator
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        if _is_newtonian(self.alpha):
-            return _newtonian_apply(self.reduced_kernel, x)
-        return self.reduced_kernel.apply(x)
+    reduced_kernel: NewtonianOperator | HodlrOperator
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         """(I_alpha * f) sampled on the nodes, including the normalization."""
         g = self.grid
         norm = riesz_normalization(self.dimension, self.alpha)
-        return norm * self._apply(values * g.volume_weights)
+        return norm * self.reduced_kernel.apply(values * g.volume_weights)
 
     def bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
         """Double integral of u(x) v(y) |x-y|^{alpha-N} (no normalization)."""
         g = self.grid
         uw = u * g.volume_weights
         vw = v * g.volume_weights
-        return float(g.sphere_area * (uw @ self._apply(vw)))
+        return float(g.sphere_area * (uw @ self.reduced_kernel.apply(vw)))
 
 
 # Largest mesh for an alpha != 2 kernel.  Its HODLR operator is about 15 MB

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .extremals import UPPER_CORNER, SharpConstants, critical_case, sharp_constants, threshold_value
+from .extremals import UPPER_CORNER, critical_case, sharp_constants, threshold_value
 from .functionals import Params, breakdown, fiber_energy_of, pohozaev_of, project_tau
 from .grid import RadialField, lp_norm
 from .solver import POHOZAEV_TOL, SolveReport
@@ -133,7 +133,7 @@ def check_positivity_monotonicity(u: RadialField) -> CheckResult:
     return CheckResult("positivity_monotonicity", measured, RIPPLE_TOL * max(peak, 1e-300), ok)
 
 
-def check_level_window(report: SolveReport, constants: SharpConstants | None = None) -> CheckResult:
+def check_level_window(report: SolveReport) -> CheckResult:
     """0 < J, and J below the applicable lemma threshold near criticality."""
     params = report.params
     case = critical_case(params, CRITICAL_GAP)
@@ -141,23 +141,19 @@ def check_level_window(report: SolveReport, constants: SharpConstants | None = N
         return CheckResult("level_window", report.J, math.inf, report.J > 0.0, "subcritical: J > 0 only")
     if case == UPPER_CORNER:
         case = "upper-critical-p"  # no lemma covers the corner; checked as upper-critical p
-    if constants is None:
-        constants = sharp_constants(params.N, params.alpha)
-    bound = min(threshold_value(case, params, constants).values())
+    bound = min(threshold_value(case, params, sharp_constants(params.N, params.alpha)).values())
     ok = 0.0 < report.J <= bound + 1e-6
     return CheckResult("level_window", report.J, bound, ok, f"case {case}")
 
 
-def run_verification(
-    report: SolveReport, constants: SharpConstants | None = None
-) -> VerificationReport:
+def run_verification(report: SolveReport) -> VerificationReport:
     """The full suite on one solve report."""
     u = report.profile
     checks = [
         check_pohozaev_identity(u, report.params),
         check_positivity_monotonicity(u),
         check_radial_decay_bound(u, 2.0),
-        check_level_window(report, constants),
+        check_level_window(report),
     ]
     if report.status == "converged":
         checks.append(check_mountain_pass_consistency(report))

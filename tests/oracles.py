@@ -1,7 +1,7 @@
 """Independent reference computations used to freeze expected values.
 
 Everything here is deliberately implemented by a different route than the
-package: Gamma-function closed forms, brute-force theta quadrature,
+package: Gamma-function closed forms, graded theta quadrature,
 collocation on the radial ODE system, and dense scans.
 """
 
@@ -49,20 +49,25 @@ def gamma_lower_constant(dimension: int, alpha: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights; order 20000 takes seconds to compute."""
-    return roots_legendre(order)
+def _graded_theta_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, pi]: 30 panels of 16 points,
+    each half as wide as the one before toward theta = 0, where the
+    integrand peaks for r near s; the last panel reaches 0."""
+    x, w = roots_legendre(16)
+    edges = math.pi * np.concatenate((2.0 ** -np.arange(30), [0.0]))
+    lo, hi = edges[1:], edges[:-1]
+    half = 0.5 * (hi - lo)
+    return ((lo + half)[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
-def theta_kernel_oracle(dimension: int, alpha: float, r: float, s: float, order: int = 20000) -> float:
-    """Dense Gauss-Legendre quadrature of the angular kernel integral."""
-    x, w = _legendre_rule(order)
-    theta = (x + 1.0) * math.pi / 2.0
+def theta_kernel_oracle(dimension: int, alpha: float, r: float, s: float) -> float:
+    """Graded Gauss-Legendre quadrature of the angular kernel integral in theta."""
+    theta, w = _graded_theta_rule()
     integrand = np.sin(theta) ** (dimension - 2) * (
         r * r + s * s - 2.0 * r * s * np.cos(theta)
     ) ** ((alpha - dimension) / 2.0)
     surf = 2.0 * math.pi ** ((dimension - 1) / 2.0) / math.gamma((dimension - 1) / 2.0)
-    return surf * (math.pi / 2.0) * float(w @ integrand)
+    return surf * float(w @ integrand)
 
 
 def pekar_bvp_oracle(R: float = 35.0, r0: float = 1e-6, mesh: int = 3000, tol: float = 1e-9):

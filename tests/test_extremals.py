@@ -159,6 +159,24 @@ class TestSharpConstants:
         sc = sharp_constants(dimension, 1.0)
         assert sc.S == pytest.approx(gamma_sobolev_constant(dimension), rel=1e-3)
 
+    @pytest.mark.parametrize("dimension", [3, 4, 5, 6])
+    def test_sobolev_constant_closed_form(self, dimension):
+        sc = sharp_constants(dimension, 1.0)
+        assert sc.S == pytest.approx(gamma_sobolev_constant(dimension), rel=1e-14)
+
+    def test_builds_no_mesh(self, monkeypatch):
+        import choquard.extremals as ex
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sharp_constants built a mesh")
+
+        monkeypatch.setattr(ex, "build_grid", refuse)
+        monkeypatch.setattr(ex, "grid_from_nodes", refuse, raising=False)
+        ex.sharp_constants.cache_clear()
+        # a dimension no other test asks for, so no memo can hide a build
+        sc = ex.sharp_constants(7, 1.0)
+        assert sc.S == pytest.approx(gamma_sobolev_constant(7), rel=1e-14)
+
     def test_lower_constant_vs_oracle(self):
         for (n, alpha) in [(3, 2.0), (4, 1.0)]:
             sc = sharp_constants(n, alpha)
@@ -330,7 +348,7 @@ class TestParameterSearch:
         params = Params(N=3, alpha=2.0, p=5.0, q=3.0)
         wobble = iter([0.5, -1.0, 0.2, -0.5, 0.9])
 
-        def fake_check(trial, case, family, constants, num_nodes):
+        def fake_check(trial, case, family, num_nodes):
             margin = next(wobble)
             row = ex.MarginRow(family[0], 0.0, margin)
             return ex.MarginReport(

@@ -107,6 +107,22 @@ class TestAngularKernel:
             theta_kernel_oracle(n, alpha, r, s), rel=1e-9
         )
 
+    def test_theta_oracle_against_mpmath(self):
+        # the oracle's hardest case: r near s puts a narrow peak at theta = 0
+        mpmath = pytest.importorskip("mpmath")
+        n, alpha, r, s = 5, 0.8, 1.0, 1.02
+        with mpmath.workdps(40):
+            x, y = mpmath.mpf(r), mpmath.mpf(s)
+            power = (mpmath.mpf(alpha) - n) / 2
+
+            def integrand(t):
+                return mpmath.sin(t) ** (n - 2) * (x * x + y * y - 2 * x * y * mpmath.cos(t)) ** power
+
+            cuts = [0] + [mpmath.pi / 2**k for k in range(40, -1, -1)]
+            surf = 2 * mpmath.pi ** (mpmath.mpf(n - 1) / 2) / mpmath.gamma(mpmath.mpf(n - 1) / 2)
+            exact = float(surf * mpmath.quad(integrand, cuts))
+        assert theta_kernel_oracle(n, alpha, r, s) == pytest.approx(exact, rel=1e-13)
+
     def test_n3_log_branch(self):
         # alpha = 1 in dimension 3 uses the logarithmic limit
         val = angular_kernel(3, 1.0, 1.0, 2.0)

@@ -7,7 +7,6 @@ from choquard import (
     RadialField,
     build_grid,
     sample,
-    sharp_constants,
 )
 from choquard.cli import _write_report, main
 from choquard.extremals import talenti
@@ -127,8 +126,7 @@ class TestLevelWindow:
         assert "subcritical" in res.note
 
     def test_near_critical_endpoint_inside_window(self, n4_continuation):
-        sc = sharp_constants(4, 1.0)
-        res = check_level_window(n4_continuation.reports[-1], sc)
+        res = check_level_window(n4_continuation.reports[-1])
         assert res.passed
         assert "upper-critical-p" in res.note
         assert 0 < res.measured <= res.bound

@@ -12,7 +12,9 @@ their fiber maxima give computable upper bounds for the critical least
 energy levels.  Margins of those bounds against the sharp-constant
 thresholds decide when a critical ground state exists.  The sharp
 constants are Gamma-function closed forms, and every integral is taken
-by functionals.py.
+by functionals.py; the expansion orders take all four integrals of each
+bubble on one exponential mesh (grid.build_grid), which resolves every
+concentration scale down to its origin spacing.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     NonMonotoneMarginError,
 )
-from .functionals import Params, breakdown, local_integrals, reduced_energy
+from .functionals import Params, breakdown, reduced_energy
 from .grid import RadialField, RadialGrid, build_grid
 from .riesz import hls_constant, riesz_normalization
 
@@ -222,13 +224,12 @@ def asymptotic_suite(
     q: float,
     eps_list: list[float],
     num_nodes: int = 2048,
-    fine_nodes: int = 1 << 17,
 ) -> AsymptoticTable:
     """Bubble integrals over a dyadic eps sweep with fitted decay orders.
 
-    The local integrals (kinetic, mass, q-term) are quadrature only and
-    evaluated on a dedicated fine mesh so that deep concentration scales
-    stay resolved; the nonlocal term uses the coarser kernel mesh.  The
+    All four integrals come from one breakdown per eps on a single
+    exponential mesh, whose relative spacing is the same at every scale,
+    so deep concentration scales stay resolved at kernel mesh sizes.  The
     kinetic deficit S^{N/2} - a(eps) is fitted through successive
     differences, which cancels the limit without needing S.  Under-resolved
     eps values are flagged and excluded from fits rather than silently
@@ -240,19 +241,12 @@ def asymptotic_suite(
     ratios = eps_arr[:-1] / eps_arr[1:]
     if not np.allclose(ratios, 2.0, rtol=1e-12):
         raise InvalidParameterError("eps list must be dyadic (successive halving)")
-    kernel_grid = build_grid(dimension, 4.0, num_nodes, scheme="graded")
-    fine_grid = build_grid(dimension, 4.0, fine_nodes, scheme="graded")
+    grid = build_grid(dimension, 4.0, num_nodes, scheme="exponential")
     params = Params(N=dimension, alpha=alpha, p=p, q=q)
 
-    resolved = []
-    table = {"a": [], "b": [], "c": [], "d": []}
-    for eps in eps_arr:
-        resolved.append(_grid_resolves(fine_grid, eps) and _grid_resolves(kernel_grid, eps))
-        a, b, d = local_integrals(cutoff_bubble(fine_grid, eps), q)
-        table["a"].append(a)
-        table["b"].append(b)
-        table["d"].append(d)
-        table["c"].append(breakdown(cutoff_bubble(kernel_grid, eps), params).nonlocal_term)
+    resolved = [_grid_resolves(grid, eps) for eps in eps_arr]
+    rows = [breakdown(cutoff_bubble(grid, eps), params).astuple() for eps in eps_arr]
+    table = dict(zip("abcd", map(list, zip(*rows))))
 
     ok = np.asarray(resolved)
     eps_ok = eps_arr[ok]

@@ -25,7 +25,6 @@ __all__ = [
     "Params",
     "EnergyBreakdown",
     "integrals",
-    "local_integrals",
     "residual_of",
     "breakdown",
     "energy",
@@ -130,13 +129,6 @@ class EnergyBreakdown:
         return (self.kinetic, self.mass, self.nonlocal_term, self.local_term)
 
 
-def local_integrals(u: RadialField, q: float) -> tuple[float, float, float]:
-    """The three integrals of u that need no kernel: kinetic, mass and the
-    q-term int |u|^q."""
-    vw = u.grid.sphere_area * u.grid.volume_weights
-    return grad_sq(u), float(vw @ u.values**2), float(vw @ np.abs(u.values) ** q)
-
-
 def integrals(
     values: np.ndarray, grid: RadialGrid, params: Params, kern: RieszKernel
 ) -> tuple[EnergyBreakdown, np.ndarray]:
@@ -144,10 +136,13 @@ def integrals(
     potential I_a*|u|^p they share with the Euler-Lagrange right-hand side,
     for one kernel product.
     """
+    vw = grid.sphere_area * grid.volume_weights
     f = np.abs(values) ** params.p
     potential = kern.convolve(f)
-    a, b, d = local_integrals(RadialField(grid, values), params.q)
-    c = float((grid.sphere_area * grid.volume_weights) @ (potential * f))
+    a = grad_sq(RadialField(grid, values))
+    b = float(vw @ values**2)
+    c = float(vw @ (potential * f))
+    d = float(vw @ np.abs(values) ** params.q)
     return EnergyBreakdown(a, b, max(c, 0.0), d), potential
 
 

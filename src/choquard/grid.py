@@ -25,6 +25,9 @@ from .errors import InvalidParameterError
 
 # 2^22 nodes is 32 MiB per array; larger meshes are refused before allocating
 MAX_GRID_NODES = 1 << 22
+# exponential meshes: r_i + r_0 grows by the factor e^{beta/M} per node, with
+# r_0 = rmax/expm1(beta), so the mesh spans rmax/r_0 ~ e^beta in scale
+EXPONENTIAL_BETA = 12.0
 
 __all__ = [
     "RadialGrid",
@@ -190,8 +193,11 @@ def build_grid(
 
     Parameters
     ----------
-    scheme : "uniform" (nodes rmax*i/M) or "graded" (nodes rmax*(i/M)^gamma,
-        clustering toward the origin for gamma > 1).
+    scheme : "graded" (nodes rmax*(i/M)^gamma, uniform for gamma = 1 and
+        clustering toward the origin for gamma > 1) or "exponential" (nodes
+        rmax*expm1(beta*i/M)/expm1(beta) with beta = EXPONENTIAL_BETA, whose
+        spacing near r is about beta/M (r + r_0) at every scale; gamma is
+        ignored).
     """
     if dimension < 3:
         raise InvalidParameterError(f"dimension must be >= 3, got {dimension}")
@@ -204,12 +210,12 @@ def build_grid(
             f"a mesh of {num_nodes} nodes exceeds the limit of {MAX_GRID_NODES} nodes"
         )
     frac = np.arange(1, num_nodes + 1, dtype=float) / num_nodes
-    if scheme == "uniform":
-        nodes = rmax * frac
-    elif scheme == "graded":
+    if scheme == "graded":
         if not gamma > 0:
             raise InvalidParameterError(f"grading exponent must be positive, got {gamma}")
         nodes = rmax * frac**gamma
+    elif scheme == "exponential":
+        nodes = rmax * np.expm1(EXPONENTIAL_BETA * frac) / math.expm1(EXPONENTIAL_BETA)
     else:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     nodes[-1] = rmax

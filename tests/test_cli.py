@@ -365,6 +365,14 @@ class TestMalformedInput:
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "ConfigError"
 
+    def test_uniform_scheme_refused(self, tmp_path, capsys):
+        # the uniform mesh is the graded one at gamma = 1, and has no alias
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", grid={"scheme": "uniform"})
+        assert main(["solve", "--config", str(cfg)]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "InvalidParameterError"
+        assert "'uniform'" in error["error"]
+
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs a tenth of a second or more to import, and no

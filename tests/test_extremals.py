@@ -198,9 +198,24 @@ class TestAsymptoticSuite:
             asymptotic_suite(3, 2.0, 2.0, 3.0, [0.5, 0.25, 0.125])
 
     def test_under_resolved_flagged(self):
-        eps = [2.0**-k for k in range(2, 8)]
-        tab = asymptotic_suite(3, 2.0, 2.0, 3.0, eps, num_nodes=64, fine_nodes=64)
+        # the exponential mesh's spacing is a fixed fraction of r + r_0, so
+        # at M=512 it resolves eps down to about 3e-6 and flags only below
+        eps = [2.0**-k for k in range(14, 20)]
+        tab = asymptotic_suite(3, 2.0, 2.0, 3.0, eps, num_nodes=512)
         assert not all(tab.resolved)
+
+    def test_builds_one_mesh(self, monkeypatch):
+        import choquard.extremals as ex
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("scheme"))
+            return build_grid(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "build_grid", spy)
+        asymptotic_suite(3, 2.0, 2.0, 3.0, [2.0**-k for k in range(4, 8)], num_nodes=256)
+        assert calls == ["exponential"]
 
     def test_local_term_cases(self):
         assert local_term_case(3, 4.0) == (">N", 1.0, False)

@@ -28,11 +28,11 @@ def l2(f, g):
 
 class TestBuildGrid:
     def test_uniform_nodes(self):
-        g = build_grid(3, 1.0, 16, scheme="uniform")
+        g = build_grid(3, 1.0, 16, gamma=1.0)
         assert np.allclose(g.nodes, np.arange(1, 17) / 16.0)
 
     def test_ball_volume(self):
-        g = build_grid(3, 2.0, 64, scheme="uniform")
+        g = build_grid(3, 2.0, 64, gamma=1.0)
         one = sample(g, np.ones_like)
         assert integrate(one) == pytest.approx(4.0 / 3.0 * math.pi * 8.0, rel=1e-13)
 
@@ -67,28 +67,46 @@ class TestBuildGrid:
         assert np.all(np.diff(g.nodes) > 0)
         assert g.nodes[-1] == g.rmax
 
+    @pytest.mark.parametrize("m", [16, 1 << 22])
+    def test_exponential_nodes(self, m):
+        g = build_grid(3, 4.0, m, scheme="exponential")
+        assert g.nodes[0] > 0
+        assert np.all(np.diff(g.nodes) > 0)
+        assert g.nodes[-1] == g.rmax == 4.0
+        # the spacing relative to r + r_0 is the same at every scale
+        r0 = 4.0 / math.expm1(12.0)
+        rel = np.diff(g.nodes) / (g.nodes[1:] + r0)
+        assert np.allclose(rel, -math.expm1(-12.0 / m), rtol=1e-6)
+
 
 class TestIntegrate:
     def test_zero(self):
         g = build_grid(3, 5.0, 64)
         assert integrate(sample(g, np.zeros_like)) == 0.0
 
-    @pytest.mark.parametrize("scheme", ["uniform", "graded"])
+    @pytest.mark.parametrize(
+        "scheme, gamma",
+        [
+            pytest.param("graded", 1.0, id="uniform"),
+            pytest.param("graded", 2.0, id="graded"),
+            pytest.param("exponential", 2.0, id="exponential"),
+        ],
+    )
     @pytest.mark.parametrize("k", [0, 1])
-    def test_polynomial_exactness(self, scheme, k):
+    def test_polynomial_exactness(self, scheme, gamma, k):
         # moment weights integrate piecewise-linear profiles exactly
-        g = build_grid(3, 2.0, 512, scheme=scheme)
+        g = build_grid(3, 2.0, 512, scheme=scheme, gamma=gamma)
         f = sample(g, lambda r: r**k)
         exact = g.sphere_area * g.rmax ** (k + 3) / (k + 3)
         assert integrate(f) == pytest.approx(exact, rel=1e-10)
 
     def test_gaussian(self):
-        g = build_grid(3, 12.0, 4_000_000, scheme="uniform")
+        g = build_grid(3, 12.0, 4_000_000, gamma=1.0)
         val = integrate(sample(g, lambda r: np.exp(-(r**2))))
         assert abs(val - math.pi**1.5) < 1e-8
 
     def test_exponential(self):
-        g = build_grid(3, 40.0, 4_000_000, scheme="uniform")
+        g = build_grid(3, 40.0, 4_000_000, gamma=1.0)
         val = integrate(sample(g, lambda r: np.exp(-r)))
         assert abs(val - 8 * math.pi) < 1e-8
 

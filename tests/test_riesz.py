@@ -303,6 +303,13 @@ class TestNewtonianOperator:
             got = kernel.convolve(x)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_entries_on_exponential_mesh(self, n):
+        g = build_grid(n, 4.0, 1000, scheme="exponential")
+        dense = dense_kernel_matrix(g, 2.0)
+        got = materialise(kernel_for(g, 2.0).reduced_kernel, g.node_count)
+        assert np.max(np.abs(got - dense) / dense) <= 1e-13
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_closed_form_matches_hypergeometric(self, n):
         import mpmath
@@ -367,10 +374,13 @@ class TestHodlrOperator:
     def test_entries_on_geometric_mesh(self, alpha):
         # columns of one block differ by up to 10^11 here; compressing them
         # unscaled costs small columns their relative accuracy
-        g = grid_from_nodes(3, np.geomspace(1e-6, 20.0, 1000))
-        dense = dense_kernel_matrix(g, alpha)
-        got = materialise(kernel_for(g, alpha).reduced_kernel, g.node_count)
-        assert np.max(np.abs(got - dense) / dense) <= 1e-10
+        for g in (
+            grid_from_nodes(3, np.geomspace(1e-6, 20.0, 1000)),
+            build_grid(3, 20.0, 1000, scheme="exponential"),
+        ):
+            dense = dense_kernel_matrix(g, alpha)
+            got = materialise(kernel_for(g, alpha).reduced_kernel, g.node_count)
+            assert np.max(np.abs(got - dense) / dense) <= 1e-10
 
     def test_large_mesh_builds_without_dense_matrix(self, monkeypatch):
         def refuse(grid, alpha):

@@ -25,12 +25,11 @@ from .functionals import (
     Params,
     breakdown,
     dilate,
-    energy,
-    fiber_energy,
-    gradient_residual,
-    nehari,
-    pohozaev,
-    project_pohozaev,
+    energy_of,
+    fiber_energy_of,
+    nehari_of,
+    pohozaev_of,
+    project_tau,
     reduced_energy,
 )
 from .grid import (
@@ -54,7 +53,6 @@ from .riesz import (
     hls_bilinear,
     hls_constant,
     kernel_for,
-    riesz_apply,
     riesz_normalization,
 )
 from .extremals import (

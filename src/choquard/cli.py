@@ -233,7 +233,7 @@ def cmd_continue(args) -> int:
         writer.writerow(["step", "p", "q", "J", "P", "linf", "status"])
         for n, rep in enumerate(reports):
             status = rep.status
-            if n == len(reports) - 1 and verdict != "converged":
+            if n == len(reports) - 1 and verdict in ("vanishing", "concentrating"):
                 status = verdict
             writer.writerow(
                 [n, repr(rep.params.p), repr(rep.params.q), repr(rep.J), repr(rep.P), repr(rep.linf), status]
@@ -355,6 +355,8 @@ def _random_smooth_field(grid: RadialGrid, rng: np.random.Generator) -> RadialFi
 
 
 def cmd_hls_check(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be >= 1, got {args.pairs}")
     grid = build_grid(args.N, 20.0, args.nodes, scheme="graded")
     c_alpha = hls_constant(args.N, args.alpha)
     t = 2.0 * args.N / (args.N + args.alpha)

@@ -159,10 +159,15 @@ def pekar_extremal(grid: RadialGrid, delta: float, alpha: float) -> RadialField:
 def sharp_constants(dimension: int, alpha: float) -> SharpConstants:
     """All threshold constants for one (N, alpha); memoized."""
     n = dimension
+    if n < 3:
+        raise InvalidParameterError(f"N must be >= 3, got {n}")
     a_alpha = riesz_normalization(n, alpha)
     c_alpha = hls_constant(n, alpha)
     # the bubble (1+r^2)^{-(N-2)/2} attains S (Talenti 1976)
-    s = n * (n - 2) * math.pi * (math.gamma(n / 2.0) / math.gamma(n)) ** (2.0 / n)
+    try:
+        s = n * (n - 2) * math.pi * (math.gamma(n / 2.0) / math.gamma(n)) ** (2.0 / n)
+    except OverflowError:
+        raise InvalidParameterError(f"Gamma(N) overflows a float for N={n}") from None
     # the lower-critical extremal (1+r^2)^{-N/2} saturates sharp HLS (Lieb 1983)
     s_1 = (a_alpha * c_alpha) ** (-n / (n + alpha))
     p_upper = (n + alpha) / (n - 2)

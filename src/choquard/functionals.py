@@ -27,18 +27,12 @@ __all__ = [
     "integrals",
     "residual_of",
     "breakdown",
-    "energy",
     "energy_of",
-    "pohozaev",
     "pohozaev_of",
-    "nehari",
     "nehari_of",
-    "gradient_residual",
     "dilate",
     "scale_breakdown",
-    "fiber_energy",
     "fiber_energy_of",
-    "project_pohozaev",
     "project_tau",
     "reduced_energy",
 ]
@@ -190,21 +184,6 @@ def nehari_of(bd: EnergyBreakdown, params: Params) -> float:
     return a + b - params.mu * c - params.lam * d
 
 
-def energy(u: RadialField, params: Params) -> float:
-    """J(u)."""
-    return energy_of(breakdown(u, params), params)
-
-
-def pohozaev(u: RadialField, params: Params) -> float:
-    """Pohozaev functional P(u); zero at every finite-energy solution."""
-    return pohozaev_of(breakdown(u, params), params)
-
-
-def nehari(u: RadialField, params: Params) -> float:
-    """Nehari value <J'(u), u>; zero at critical points."""
-    return nehari_of(breakdown(u, params), params)
-
-
 def odd_power(u: np.ndarray, exponent: float) -> np.ndarray:
     """sign(u) |u|^exponent, stable at u = 0 for positive exponents.
 
@@ -212,13 +191,6 @@ def odd_power(u: np.ndarray, exponent: float) -> np.ndarray:
     dilation has zeroed the tail and p < 2.
     """
     return np.sign(u) * np.abs(u) ** exponent
-
-
-def gradient_residual(u: RadialField, params: Params) -> RadialField:
-    """H^1-Riesz representative of J'(u); see residual_of."""
-    g = u.grid
-    _, potential = integrals(u.values, g, params, kernel_for(g, params.alpha))
-    return RadialField(g, residual_of(u.values, potential, g, params)[0])
 
 
 def dilate(u: RadialField, tau: float) -> RadialField:
@@ -255,18 +227,9 @@ def fiber_energy_of(bd: EnergyBreakdown, tau: float, params: Params) -> float:
     return energy_of(scale_breakdown(bd, tau, params), params)
 
 
-def fiber_energy(u: RadialField, tau: float, params: Params) -> float:
-    """phi(tau) = J(u(x/tau)), computed from the breakdown without resampling."""
-    return fiber_energy_of(breakdown(u, params), tau, params)
-
-
-def _fiber_slope_reduced(bd: EnergyBreakdown, params: Params):
-    """phi'(tau) / tau^{N-3} as a callable; sign changes exactly once on (0, inf)."""
-    return _fiber_slope_and_derivative(bd, params)[0]
-
-
 def _fiber_slope_and_derivative(bd: EnergyBreakdown, params: Params):
-    """The reduced slope lead + quad t^2 - top t^{2+alpha} and its derivative."""
+    """The reduced slope phi'(tau) / tau^{N-3} = lead + quad t^2 - top t^{2+alpha},
+    which changes sign exactly once on (0, inf), and its derivative."""
     a, b, c, d = bd.astuple()
     n, al = params.N, params.alpha
     lead = 0.5 * (n - 2) * a
@@ -325,11 +288,6 @@ def project_tau(bd: EnergyBreakdown, params: Params) -> float:
     else:
         raise DegenerateFieldError("failed to bracket the fiber maximum")
     return float(_bracketed_root(slope, derivative, 0.0, hi, rtol=1e-13))
-
-
-def project_pohozaev(u: RadialField, params: Params) -> float:
-    """Dilation parameter tau0 projecting u onto the Pohozaev manifold."""
-    return project_tau(breakdown(u, params), params)
 
 
 def reduced_energy(u: RadialField, params: Params) -> float:

@@ -49,7 +49,10 @@ __all__ = [
 
 def sphere_area(dimension: int) -> float:
     """Surface measure of the unit sphere, 2 pi^{N/2} / Gamma(N/2)."""
-    return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+    try:
+        return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+    except OverflowError:
+        raise InvalidParameterError(f"Gamma(N/2) overflows a float for N={dimension}") from None
 
 
 def _cell_moments(a: np.ndarray, b: np.ndarray, dimension: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,6 +174,7 @@ def grid_from_nodes(dimension: int, nodes: np.ndarray) -> RadialGrid:
     Weights are exact for piecewise-linear profiles; the first cell
     [0, r_1] is assigned wholly to node 1 (even extension at the origin).
     """
+    area = sphere_area(dimension)  # refuses an N whose Gamma(N/2) overflows before any r^N
     nodes = np.asarray(nodes, dtype=float)
     edges = np.concatenate(([0.0], nodes))
     m_left, m_right = _cell_moments(edges[:-1], edges[1:], dimension)
@@ -179,7 +183,7 @@ def grid_from_nodes(dimension: int, nodes: np.ndarray) -> RadialGrid:
     vol[0] += m_left[0]
     vol[:-1] += m_left[1:]
     weights = vol / nodes ** (dimension - 1)
-    return RadialGrid(dimension, float(nodes[-1]), nodes, weights, sphere_area(dimension))
+    return RadialGrid(dimension, float(nodes[-1]), nodes, weights, area)
 
 
 def build_grid(

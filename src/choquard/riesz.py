@@ -45,7 +45,6 @@ __all__ = [
     "hls_constant",
     "angular_kernel",
     "kernel_for",
-    "riesz_apply",
     "hls_bilinear",
 ]
 
@@ -599,12 +598,6 @@ def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
         data = _newtonian_operator(grid) if newtonian else _hodlr_operator(grid, alpha)
         _kernel_cache[key] = RieszKernel(alpha, grid.dimension, grid, data)
     return _kernel_cache[key]
-
-
-def riesz_apply(f: RadialField, alpha: float) -> RadialField:
-    """Riesz potential I_alpha * f of a radial field."""
-    kernel = kernel_for(f.grid, alpha)
-    return RadialField(f.grid, kernel.convolve(f.values))
 
 
 def hls_bilinear(u: RadialField, v: RadialField, alpha: float) -> float:

@@ -405,7 +405,6 @@ def continue_exponent(
     steps: int,
     opts: SolveOptions,
     grid: RadialGrid,
-    init: RadialField | None = None,
 ) -> list[SolveReport]:
     """Solve along a geometric schedule of exponents approaching criticality.
 
@@ -415,7 +414,7 @@ def continue_exponent(
     check_continuation(target, steps)
     schedule = _schedule(start, target, steps)
     reports: list[SolveReport] = []
-    current = init if init is not None else default_initial_guess(grid)
+    current = default_initial_guess(grid)
     for n, params_n in enumerate(schedule):
         try:
             report = ground_state(params_n, current, opts)
@@ -431,11 +430,15 @@ def continue_exponent(
 
 
 def detect_dichotomy(reports: list[SolveReport]) -> str:
-    """Classify a continuation sequence as converged, vanishing, or
-    concentrating from its endpoint metrics."""
+    """Classify a continuation sequence: "vanishing" or "concentrating" when
+    the dichotomy rule fires between its endpoints, else "max_iter" when any
+    step ended max_iter, else "converged"."""
     if not reports:
         raise InvalidParameterError("detect_dichotomy needs a nonempty report list")
-    return _dichotomy(reports[0].profile, reports[-1].profile) or "converged"
+    verdict = _dichotomy(reports[0].profile, reports[-1].profile)
+    if verdict is None and any(rep.status == "max_iter" for rep in reports):
+        verdict = "max_iter"
+    return verdict or "converged"
 
 
 def _dichotomy(first: RadialField, last: RadialField) -> str | None:

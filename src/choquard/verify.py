@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .extremals import UPPER_CORNER, critical_case, sharp_constants, threshold_value
-from .functionals import EnergyBreakdown, Params, breakdown, fiber_energy_of, pohozaev_of, project_tau
+from .functionals import EnergyBreakdown, Params, fiber_energy_of, pohozaev_of, project_tau
 from .grid import RadialField, lp_norm
 from .solver import POHOZAEV_TOL, SolveReport
 
@@ -71,13 +71,9 @@ class VerificationReport:
         }
 
 
-def check_pohozaev_identity(u: RadialField, params: Params) -> CheckResult:
-    """|P(u)| <= POHOZAEV_TOL (kinetic + mass); holds at every finite-energy
-    solution."""
-    return _pohozaev_check(breakdown(u, params), params)
-
-
-def _pohozaev_check(bd: EnergyBreakdown, params: Params) -> CheckResult:
+def check_pohozaev_identity(bd: EnergyBreakdown, params: Params) -> CheckResult:
+    """|P| <= POHOZAEV_TOL (kinetic + mass) for this breakdown; holds at every
+    finite-energy solution."""
     scale = bd.kinetic + bd.mass
     p_val = pohozaev_of(bd, params)
     if scale == 0.0:
@@ -108,8 +104,8 @@ def _ripple(values: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.diff(values), initial=-math.inf)), RIPPLE_TOL * max(peak, 1e-300)
 
 
-def check_radial_decay_bound(u: RadialField, t: float = 2.0) -> CheckResult:
-    """|u(r)| <= r^{-N/t} (N / |S^{N-1}|)^{1/t} ||u||_t at every node.
+def check_radial_decay_bound(u: RadialField) -> CheckResult:
+    """|u(r)| <= r^{-N/2} (N / |S^{N-1}|)^{1/2} ||u||_2 at every node.
 
     Applies to radial nonincreasing profiles only; others are reported as
     inapplicable rather than failing.
@@ -119,10 +115,10 @@ def check_radial_decay_bound(u: RadialField, t: float = 2.0) -> CheckResult:
         return CheckResult("radial_decay_bound", 0.0, 1.0, True, "inapplicable: not nonincreasing")
     g = u.grid
     n = g.dimension
-    norm = lp_norm(u, t)
+    norm = lp_norm(u, 2.0)
     if norm == 0.0:
         return CheckResult("radial_decay_bound", 0.0, 1.0, True, "zero field")
-    envelope = g.nodes ** (-n / t) * (n / g.sphere_area) ** (1.0 / t) * norm
+    envelope = g.nodes ** (-n / 2.0) * (n / g.sphere_area) ** 0.5 * norm
     ratio = float(np.max(np.abs(u.values) / envelope))
     return CheckResult("radial_decay_bound", ratio, 1.0 + 1e-10, ratio <= 1.0 + 1e-10)
 
@@ -152,9 +148,9 @@ def run_verification(report: SolveReport) -> VerificationReport:
     """The full suite on one solve report."""
     u = report.profile
     checks = [
-        _pohozaev_check(report.breakdown, report.params),
+        check_pohozaev_identity(report.breakdown, report.params),
         check_positivity_monotonicity(u),
-        check_radial_decay_bound(u, 2.0),
+        check_radial_decay_bound(u),
         check_level_window(report),
     ]
     if report.status == "converged":

@@ -24,8 +24,8 @@ from choquard import (
     ground_state,
     hls_bilinear,
     hls_constant,
+    kernel_for,
     lp_norm,
-    riesz_apply,
     sample,
 )
 from choquard.extremals import (
@@ -35,8 +35,12 @@ from choquard.extremals import (
     threshold_check,
     threshold_value,
 )
-from choquard.functionals import breakdown, fiber_energy_of, project_tau
-from choquard.functionals import _fiber_slope_reduced
+from choquard.functionals import (
+    _fiber_slope_and_derivative,
+    breakdown,
+    fiber_energy_of,
+    project_tau,
+)
 
 from oracles import (
     dense_fiber_max,
@@ -75,9 +79,9 @@ def test_criterion_2_riesz_newtonian():
     grid = build_grid(3, 20.0, 4096, scheme="graded")
     edges = np.concatenate(([0.0], 0.5 * (grid.nodes[:-1] + grid.nodes[1:]), [grid.rmax]))
     fraction = np.clip((1.0 - edges[:-1]) / (edges[1:] - edges[:-1]), 0.0, 1.0)
-    potential = riesz_apply(RadialField(grid, fraction), 2.0)
+    potential = kernel_for(grid, 2.0).convolve(fraction)
     exact = np.where(grid.nodes <= 1.0, (3.0 - grid.nodes**2) / 6.0, 1.0 / (3.0 * grid.nodes))
-    rel_err = float(np.max(np.abs(potential.values - exact) / exact))
+    rel_err = float(np.max(np.abs(potential - exact) / exact))
     elapsed = time.perf_counter() - t0
     ok = rel_err < 1e-4 and elapsed < 5.0
     announce("2 (Newtonian potential)", ok, f"max rel err={rel_err:.2e} runtime={elapsed:.2f}s")
@@ -133,7 +137,7 @@ def test_criterion_4_fiber_uniqueness():
             u = random_positive_field(grid, rng)
             bd = breakdown(u, params)
             tau0 = project_tau(bd, params)
-            slope = _fiber_slope_reduced(bd, params)
+            slope = _fiber_slope_and_derivative(bd, params)[0]
             ts = np.geomspace(tau0 / 200.0, tau0 * 200.0, 1200)
             signs = np.sign([slope(t) for t in ts])
             changes = int(np.sum(np.abs(np.diff(signs)) > 0))

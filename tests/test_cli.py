@@ -137,6 +137,18 @@ class TestContinueCommand:
         assert summary["classification"] == "converged"
         assert len(summary["levels"]) == 3
 
+    def test_unfinished_continuation_not_converged(self, tmp_path, capsys):
+        out_dir = tmp_path / "cont"
+        cfg = write_config(
+            tmp_path / "cfg.json", out_dir, grid={"M": 256},
+            solve={"max_iter": 2, "continuation": {"target": "p-upper", "steps": 2}},
+        )
+        assert main(["continue", "--config", str(cfg)]) == 2
+        summary = json.loads((out_dir / "continue_summary.json").read_text())
+        assert summary["classification"] == "max_iter"
+        rows = (out_dir / "levels.csv").read_text().splitlines()
+        assert all(row.endswith(",max_iter") for row in rows[1:])
+
     @pytest.mark.parametrize(
         "section",
         [{"target": "sideways", "steps": 3}, {"target": "p-upper", "steps": -1}],
@@ -157,7 +169,7 @@ class TestContinueDichotomyRow:
 
         real_reports = {}
 
-        def fake_continue(params, target, steps, opts, grid, init=None):
+        def fake_continue(params, target, steps, opts, grid):
             from choquard.solver import continue_exponent as real
             reports = real(params, target, 0, opts, grid)
             real_reports["reports"] = reports * 2
@@ -364,6 +376,30 @@ class TestMalformedInput:
         assert main([command, flag, str(path), *extra]) == 3
         error = json.loads(capsys.readouterr().err)
         assert error["kind"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["constants", "--N", "2", "--alpha", "1"], id="constants-N2"),
+            pytest.param(["constants", "--N", "1", "--alpha", "0.5"], id="constants-N1"),
+            pytest.param(["constants", "--N", "172", "--alpha", "1"], id="constants-N172"),
+            pytest.param(
+                ["bubble", "--N", "400", "--alpha", "2", "--p", "2", "--q", "3",
+                 "--eps", "0.25,0.125,0.0625,0.03125"],
+                id="bubble-N400",
+            ),
+            pytest.param(["hls-check", "--N", "400", "--alpha", "1"], id="hls-check-N400"),
+        ],
+    )
+    def test_dimension_outside_closed_forms(self, tmp_path, capsys, argv):
+        # N < 3 has no p_upper, and Gamma(N) or Gamma(N/2) overflows a float
+        # from N = 172 and N = 344 on
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "InvalidParameterError"
+
+    def test_hls_check_needs_a_pair(self, capsys):
+        assert main(["hls-check", "--N", "3", "--alpha", "2", "--pairs", "0"]) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "ConfigError"
 
     def test_uniform_scheme_refused(self, tmp_path, capsys):
         # the uniform mesh is the graded one at gamma = 1, and has no alias

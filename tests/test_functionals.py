@@ -12,24 +12,21 @@ from choquard import (
     breakdown,
     build_grid,
     dilate,
-    energy,
-    fiber_energy,
-    gradient_residual,
     h1_inner,
-    h1_norm,
     integrate,
-    nehari,
-    pohozaev,
-    project_pohozaev,
+    kernel_for,
     reduced_energy,
     sample,
 )
 from choquard.functionals import (
+    _fiber_slope_and_derivative,
     energy_of,
     fiber_energy_of,
+    integrals,
     nehari_of,
     pohozaev_of,
     project_tau,
+    residual_of,
     scale_breakdown,
 )
 
@@ -101,7 +98,7 @@ class TestBreakdown:
 
 class TestEnergyFormulas:
     def test_zero(self, small_grid):
-        assert energy(sample(small_grid, np.zeros_like), PEKAR) == 0.0
+        assert energy_of(breakdown(sample(small_grid, np.zeros_like), PEKAR), PEKAR) == 0.0
 
     def test_unit_breakdown_energy(self):
         assert energy_of(UNIT_BD, PEKAR) == pytest.approx(5.0 / 12.0, abs=1e-15)
@@ -114,8 +111,8 @@ class TestEnergyFormulas:
 
     def test_zero_pohozaev_nehari(self, small_grid):
         z = sample(small_grid, np.zeros_like)
-        assert pohozaev(z, PEKAR) == 0.0
-        assert nehari(z, PEKAR) == 0.0
+        assert pohozaev_of(breakdown(z, PEKAR), PEKAR) == 0.0
+        assert nehari_of(breakdown(z, PEKAR), PEKAR) == 0.0
 
     def test_level_identity(self, rng):
         # J - P/N = kinetic/N + mu alpha nonlocal / (2 N p), exactly
@@ -162,20 +159,26 @@ class TestYoungInterpolation:
 
 class TestGradientResidual:
     def test_zero(self, small_grid):
-        g = gradient_residual(sample(small_grid, np.zeros_like), PEKAR)
-        assert np.all(g.values == 0.0)
+        z = np.zeros(small_grid.node_count)
+        _, potential = integrals(z, small_grid, PEKAR, kernel_for(small_grid, PEKAR.alpha))
+        g, _ = residual_of(z, potential, small_grid, PEKAR)
+        assert np.all(g == 0.0)
 
     def test_directional_derivative(self, small_grid, rng):
         params = Params(N=3, alpha=2.0, p=2.2, q=3.4, mu=1.3, lam=0.8)
         u = random_positive_field(small_grid, rng)
         w = random_positive_field(small_grid, rng)
-        g = gradient_residual(u, params)
-        predicted = h1_inner(g, w)
+        kern = kernel_for(small_grid, params.alpha)
+        _, potential = integrals(u.values, small_grid, params, kern)
+        g, _ = residual_of(u.values, potential, small_grid, params)
+        predicted = h1_inner(RadialField(small_grid, g), w)
         errs = []
         for h in (1e-3, 5e-4, 2.5e-4):
             up = RadialField(small_grid, u.values + h * w.values)
             um = RadialField(small_grid, u.values - h * w.values)
-            fd = (energy(up, params) - energy(um, params)) / (2 * h)
+            jp = energy_of(breakdown(up, params), params)
+            jm = energy_of(breakdown(um, params), params)
+            fd = (jp - jm) / (2 * h)
             errs.append(abs(fd - predicted))
         scale = max(abs(predicted), 1.0)
         assert errs[0] < 1e-5 * scale
@@ -185,12 +188,14 @@ class TestGradientResidual:
         assert errs[2] < 0.5 * errs[1]
 
     def test_small_at_ground_state(self, pekar_report):
-        g = gradient_residual(pekar_report.profile, PEKAR)
-        assert h1_norm(g) < 1e-6
+        u = pekar_report.profile
+        _, potential = integrals(u.values, u.grid, PEKAR, kernel_for(u.grid, PEKAR.alpha))
+        assert residual_of(u.values, potential, u.grid, PEKAR)[1] < 1e-6
 
     def test_norm_equals_solver_residual_exactly(self, pekar_report):
-        g = gradient_residual(pekar_report.profile, PEKAR)
-        assert h1_norm(g) == pekar_report.residual_norm
+        u = pekar_report.profile
+        _, potential = integrals(u.values, u.grid, PEKAR, kernel_for(u.grid, PEKAR.alpha))
+        assert residual_of(u.values, potential, u.grid, PEKAR)[1] == pekar_report.residual_norm
 
 
 class TestGroundStateIdentities:
@@ -205,7 +210,7 @@ class TestGroundStateIdentities:
     def test_gaussian_not_a_solution(self, small_grid):
         u = sample(small_grid, lambda r: np.exp(-(r**2)))
         bd = breakdown(u, PEKAR)
-        assert abs(pohozaev(u, PEKAR)) > 1e-2 * (bd.kinetic + bd.mass)
+        assert abs(pohozaev_of(bd, PEKAR)) > 1e-2 * (bd.kinetic + bd.mass)
 
 
 class TestDilate:
@@ -234,25 +239,25 @@ class TestDilate:
 class TestFiberEnergy:
     def test_zero_dilation(self, small_grid, rng):
         u = random_positive_field(small_grid, rng)
-        assert fiber_energy(u, 0.0, PEKAR) == 0.0
+        assert fiber_energy_of(breakdown(u, PEKAR), 0.0, PEKAR) == 0.0
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     def test_matches_resampled_energy(self, tau):
         g = build_grid(3, 40.0, 4096, scheme="graded")
         u = sample(g, lambda r: np.exp(-(r**2) / 2))
-        assert fiber_energy(u, tau, PEKAR) == pytest.approx(
-            energy(dilate(u, tau), PEKAR), rel=2e-4, abs=1e-6
+        assert fiber_energy_of(breakdown(u, PEKAR), tau, PEKAR) == pytest.approx(
+            energy_of(breakdown(dilate(u, tau), PEKAR), PEKAR), rel=2e-4, abs=1e-6
         )
 
     def test_negative_for_large_tau(self, small_grid, rng):
         u = random_positive_field(small_grid, rng)
-        assert fiber_energy(u, 64.0, PEKAR) < 0
+        assert fiber_energy_of(breakdown(u, PEKAR), 64.0, PEKAR) < 0
 
     def test_small_tau_kinetic_limit(self, small_grid, rng):
         u = random_positive_field(small_grid, rng)
         bd = breakdown(u, PEKAR)
         tau = 1e-4
-        ratio = fiber_energy(u, tau, PEKAR) / tau ** (PEKAR.N - 2)
+        ratio = fiber_energy_of(bd, tau, PEKAR) / tau ** (PEKAR.N - 2)
         assert ratio == pytest.approx(bd.kinetic / 2.0, rel=1e-6)
 
 
@@ -275,7 +280,7 @@ class TestProjection:
     def test_degenerate_inputs_rejected(self, small_grid):
         z = sample(small_grid, np.zeros_like)
         with pytest.raises(DegenerateFieldError):
-            project_pohozaev(z, PEKAR)
+            project_tau(breakdown(z, PEKAR), PEKAR)
         with pytest.raises(DegenerateFieldError):
             project_tau(EnergyBreakdown(0.0, 1.0, 1.0, 1.0), PEKAR)
         with pytest.raises(DegenerateFieldError):
@@ -292,20 +297,18 @@ class TestProjection:
     def test_dilation_equivariance_resampled(self, rng):
         g = build_grid(3, 40.0, 2048, scheme="graded")
         u = sample(g, lambda r: np.exp(-(r**2) / 2))
-        tau0 = project_pohozaev(u, PEKAR)
+        tau0 = project_tau(breakdown(u, PEKAR), PEKAR)
         for s in (0.5, 2.0):
-            assert project_pohozaev(dilate(u, s), PEKAR) == pytest.approx(
+            assert project_tau(breakdown(dilate(u, s), PEKAR), PEKAR) == pytest.approx(
                 tau0 / s, rel=1e-3
             )
 
     def test_unique_sign_change(self, small_grid, rng):
-        from choquard.functionals import _fiber_slope_reduced
-
         for _ in range(40):
             u = random_positive_field(small_grid, rng)
             bd = breakdown(u, PEKAR)
             tau0 = project_tau(bd, PEKAR)
-            slope = _fiber_slope_reduced(bd, PEKAR)
+            slope = _fiber_slope_and_derivative(bd, PEKAR)[0]
             ts = np.geomspace(tau0 / 100, tau0 * 100, 1500)
             signs = np.sign([slope(t) for t in ts])
             changes = int(np.sum(np.abs(np.diff(signs)) > 0))

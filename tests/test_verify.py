@@ -30,19 +30,19 @@ def _fake_report(field, params, status="converged", residual=1e-7):
 
 class TestPohozaevCheck:
     def test_ground_state_passes(self, pekar_report):
-        res = check_pohozaev_identity(pekar_report.profile, PEKAR)
+        res = check_pohozaev_identity(breakdown(pekar_report.profile, PEKAR), PEKAR)
         assert res.passed
 
     def test_gaussian_fails(self):
         grid = build_grid(3, 15.0, 512, scheme="graded")
         u = sample(grid, lambda r: np.exp(-(r**2)))
-        res = check_pohozaev_identity(u, PEKAR)
+        res = check_pohozaev_identity(breakdown(u, PEKAR), PEKAR)
         assert not res.passed
         assert res.measured > 0.1  # O(0.25)-scale violation
 
     def test_zero_field_degenerate_pass(self):
         grid = build_grid(3, 15.0, 64)
-        res = check_pohozaev_identity(sample(grid, np.zeros_like), PEKAR)
+        res = check_pohozaev_identity(breakdown(sample(grid, np.zeros_like), PEKAR), PEKAR)
         assert res.passed
         assert "degenerate" in res.note
 
@@ -88,19 +88,19 @@ class TestMountainPassCheck:
 
 class TestDecayBound:
     def test_ground_state_passes(self, pekar_report):
-        res = check_radial_decay_bound(pekar_report.profile, 2.0)
+        res = check_radial_decay_bound(pekar_report.profile)
         assert res.passed and "inapplicable" not in res.note
 
     def test_plateau_passes(self):
         grid = build_grid(3, 15.0, 512, scheme="graded")
         plateau = sample(grid, lambda r: 1.0 / (1.0 + np.exp(8.0 * (r - 2.0))))
-        res = check_radial_decay_bound(plateau, 2.0)
+        res = check_radial_decay_bound(plateau)
         assert res.passed
 
     def test_increasing_profile_inapplicable(self):
         grid = build_grid(3, 15.0, 128)
         rising = sample(grid, lambda r: r)
-        res = check_radial_decay_bound(rising, 2.0)
+        res = check_radial_decay_bound(rising)
         assert res.passed
         assert "inapplicable" in res.note
 
@@ -164,7 +164,7 @@ class TestRunVerification:
         # the profile meets the Pohozaev and Nehari bounds, but the report's
         # own residual says it is no weak solution
         fake = _fake_report(pekar_report.profile, PEKAR, status="max_iter", residual=1e-3)
-        assert check_pohozaev_identity(fake.profile, PEKAR).passed
+        assert check_pohozaev_identity(fake.breakdown, PEKAR).passed
         report = run_verification(fake)
         assert not report.overall
         failed = [c.name for c in report.checks if not c.passed]

@@ -37,7 +37,6 @@ from .grid import (
     RadialGrid,
     build_grid,
     grad_sq,
-    grid_from_nodes,
     h1_inner,
     h1_norm,
     h1_solve,

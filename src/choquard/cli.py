@@ -40,7 +40,6 @@ from .grid import (
     RadialField,
     RadialGrid,
     build_grid,
-    grid_from_nodes,
     lp_norm,
     read_profile_csv,
     write_profile_csv,
@@ -179,7 +178,7 @@ def load_report(path: str | Path) -> SolveReport:
         raise ConfigError(f"profile_csv_path must be a string, got {csv_name!r}")
     try:
         r, u = read_profile_csv(path.parent / csv_name)
-        field = RadialField(grid_from_nodes(params.N, r), u)
+        field = RadialField(RadialGrid(params.N, r), u)
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"cannot parse profile {csv_name!r}: {exc}") from exc
     return SolveReport(

@@ -13,7 +13,7 @@ solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -33,7 +33,6 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "build_grid",
-    "grid_from_nodes",
     "sample",
     "integrate",
     "lp_norm",
@@ -55,82 +54,84 @@ def sphere_area(dimension: int) -> float:
         raise InvalidParameterError(f"Gamma(N/2) overflows a float for N={dimension}") from None
 
 
-def _cell_moments(a: np.ndarray, b: np.ndarray, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact moments of r^{N-1} against the linear hat weights on cells [a, b].
-
-    Returns (m_left, m_right) with m_left + m_right = (b^N - a^N)/N and
-    m_right = int_a^b (r - a)/(b - a) r^{N-1} dr.
-    """
-    n = dimension
-    total = (b**n - a**n) / n
-    m_right = ((b ** (n + 1) - a ** (n + 1)) / (n + 1) - a * total) / (b - a)
-    return total - m_right, m_right
-
-
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Immutable radial mesh with quadrature weights.
+    """Immutable radial mesh: a dimension and its nodes, with the quadrature
+    derived from them.
 
     Attributes
     ----------
     dimension : ambient dimension N >= 3.
-    rmax : truncation radius; the last node equals rmax.
-    nodes : strictly increasing radii in (0, rmax].
-    weights : quadrature weights w such that
-        integrate(f) = sphere_area * sum(w * f * nodes^{N-1}).
+    nodes : strictly increasing radii in (0, rmax]; rmax is the last node.
     sphere_area : |S^{N-1}|.
+    volume_weights : exact moments of r^{N-1} dr against the linear hat of
+        each node, so integrate(f) = sphere_area * volume_weights @ f; the
+        first cell [0, r_1] is assigned wholly to node 1 (even extension at
+        the origin).
     """
 
     dimension: int
-    rmax: float
     nodes: np.ndarray
-    weights: np.ndarray
-    sphere_area: float
+    sphere_area: float = field(init=False)
+    volume_weights: np.ndarray = field(init=False, repr=False)
+    # (b^N - a^N)/N on the cells [0, r_1], [r_1, r_2], ..., [r_M, 2 r_M],
+    # the last being the ghost cell of the Dirichlet tail
+    _shells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        n = self.dimension
         nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        if self.dimension < 3:
+        if n < 3:
             raise InvalidParameterError("dimension must be >= 3")
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise InvalidParameterError("nodes and weights must be 1-d arrays of equal length")
+        if nodes.ndim != 1 or nodes.size == 0:
+            raise InvalidParameterError("nodes must be a non-empty 1-d array")
         if not (np.all(np.diff(nodes) > 0) and nodes[0] > 0):
             raise InvalidParameterError("nodes must be strictly increasing and positive")
-        if not math.isclose(nodes[-1], self.rmax, rel_tol=1e-12):
-            raise InvalidParameterError("last node must equal rmax")
-        if not np.all(weights > 0):
-            raise InvalidParameterError("quadrature weights must be positive")
-        if not math.isclose(self.sphere_area, sphere_area(self.dimension), rel_tol=1e-12):
-            raise InvalidParameterError("sphere_area does not match the Gamma formula")
+        # refuses an N whose Gamma(N/2) overflows before any r^N is taken
+        object.__setattr__(self, "sphere_area", sphere_area(n))
+        edges = np.concatenate(([0.0], nodes, [2.0 * nodes[-1]]))
+        # r^N leaves the float range for large N; such a mesh is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            shells = np.diff(edges**n) / n
+            # the share of each cell's moment carried by the hat at its right end
+            m_right = (np.diff(edges ** (n + 1)) / (n + 1) - edges[:-1] * shells) / np.diff(edges)
+            m_left = shells - m_right
+        vol = m_right[:-1].copy()
+        vol[0] += m_left[0]
+        vol[:-1] += m_left[1:-1]
+        if not (np.all((vol > 0) & (vol < math.inf)) and 0 < shells[-1] < math.inf):
+            raise InvalidParameterError(
+                f"r^N leaves the float range on nodes from {nodes[0]:.3g} to {nodes[-1]:.3g} "
+                f"in dimension N={n}; the volume weights are not finite and positive"
+            )
+        object.__setattr__(self, "volume_weights", vol)
+        object.__setattr__(self, "_shells", shells)
+
+    @property
+    def rmax(self) -> float:
+        return float(self.nodes[-1])
 
     @property
     def node_count(self) -> int:
         return self.nodes.size
 
     @cached_property
-    def volume_weights(self) -> np.ndarray:
-        """weights * nodes^{N-1}; integrate(f) = sphere_area * volume_weights @ f."""
-        return self.weights * self.nodes ** (self.dimension - 1)
+    def key(self) -> tuple:
+        """Equal for equal meshes, however they were built: the quadrature is
+        a function of the dimension and the nodes."""
+        return self.dimension, self.nodes.tobytes()
 
     @cached_property
-    def _stiffness(self) -> tuple[np.ndarray, np.ndarray]:
+    def _stiffness(self) -> tuple[np.ndarray, float]:
         """Cell data for the radial Dirichlet form sum m_i (du/dr)_i^2.
 
-        Returns (coef, offdiag): `coef[i] = m_i / dr_i^2` for the interior
-        cells between consecutive nodes, and the tail coefficient appended
-        last for the ghost cell [rmax, 2 rmax] where fields fall linearly
-        to zero.
+        Returns (coef, tail): `coef[i] = m_i / dr_i^2` for the interior
+        cells between consecutive nodes, and the tail coefficient of the
+        ghost cell [rmax, 2 rmax] where fields fall linearly to zero.
         """
-        n = self.dimension
-        r = self.nodes
-        dr = np.diff(r)
-        m = (r[1:] ** n - r[:-1] ** n) / n
-        coef = m / dr**2
-        tail_m = ((2.0 * self.rmax) ** n - self.rmax**n) / n
-        tail = tail_m / self.rmax**2
-        return coef, np.array([tail])
+        coef = self._shells[1:-1] / np.diff(self.nodes) ** 2
+        return coef, float(self._shells[-1] / self.rmax**2)
 
     @cached_property
     def _h1_banded_factor(self) -> np.ndarray:
@@ -144,7 +145,7 @@ class RadialGrid:
         diag = np.zeros(m)
         diag[:-1] += coef
         diag[1:] += coef
-        diag[-1] += tail[0]
+        diag[-1] += tail
         diag += self.volume_weights
         ab = np.zeros((2, m))
         ab[0, 1:] = -coef
@@ -166,24 +167,6 @@ class RadialField:
             raise InvalidParameterError("field length must equal the node count")
         if not np.all(np.isfinite(values)):
             raise InvalidParameterError("field values must be finite")
-
-
-def grid_from_nodes(dimension: int, nodes: np.ndarray) -> RadialGrid:
-    """Grid over given strictly increasing nodes with moment weights.
-
-    Weights are exact for piecewise-linear profiles; the first cell
-    [0, r_1] is assigned wholly to node 1 (even extension at the origin).
-    """
-    area = sphere_area(dimension)  # refuses an N whose Gamma(N/2) overflows before any r^N
-    nodes = np.asarray(nodes, dtype=float)
-    edges = np.concatenate(([0.0], nodes))
-    m_left, m_right = _cell_moments(edges[:-1], edges[1:], dimension)
-    vol = np.zeros(nodes.size)
-    vol += m_right
-    vol[0] += m_left[0]
-    vol[:-1] += m_left[1:]
-    weights = vol / nodes ** (dimension - 1)
-    return RadialGrid(dimension, float(nodes[-1]), nodes, weights, area)
 
 
 def build_grid(
@@ -223,7 +206,7 @@ def build_grid(
     else:
         raise InvalidParameterError(f"unknown scheme {scheme!r}")
     nodes[-1] = rmax
-    return grid_from_nodes(dimension, nodes)
+    return RadialGrid(dimension, nodes)
 
 
 def sample(grid: RadialGrid, fn: Callable[[np.ndarray], np.ndarray]) -> RadialField:
@@ -255,7 +238,7 @@ def grad_sq(f: RadialField) -> float:
     g = f.grid
     coef, tail = g._stiffness
     d = np.diff(f.values)
-    return float(g.sphere_area * (coef @ d**2 + tail[0] * f.values[-1] ** 2))
+    return float(g.sphere_area * (coef @ d**2 + tail * f.values[-1] ** 2))
 
 
 def h1_inner(f: RadialField, g: RadialField) -> float:
@@ -263,7 +246,7 @@ def h1_inner(f: RadialField, g: RadialField) -> float:
     gr = f.grid
     coef, tail = gr._stiffness
     df, dg = np.diff(f.values), np.diff(g.values)
-    kin = coef @ (df * dg) + tail[0] * f.values[-1] * g.values[-1]
+    kin = coef @ (df * dg) + tail * f.values[-1] * g.values[-1]
     mass = gr.volume_weights @ (f.values * g.values)
     return float(gr.sphere_area * (kin + mass))
 

@@ -576,16 +576,17 @@ MAX_KERNEL_NODES = 8192
 _kernel_cache: dict[tuple, RieszKernel] = {}
 
 
-def _mesh_key(grid: RadialGrid) -> tuple:
-    """Equal for equal meshes, however they were built."""
-    return grid.dimension, grid.nodes.tobytes(), grid.weights.tobytes()
-
-
 def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
     """Reduced kernel for one mesh and exponent, built on first use and
-    shared by every equal mesh; for alpha != 2 a mesh of more than
-    MAX_KERNEL_NODES nodes is refused first."""
+    shared by every equal mesh.  Refused first: for alpha != 2 a mesh of
+    more than MAX_KERNEL_NODES nodes, and an alpha so small (below about
+    2^-54) that alpha - 1 rounds to -1, where the band quadrature's Jacobi
+    weight (1 + x)^{alpha-1} is not integrable."""
     _check_alpha(grid.dimension, alpha)
+    if alpha - 1.0 == -1.0:
+        raise InvalidParameterError(
+            f"alpha={alpha} is too small for a Riesz kernel: alpha - 1 rounds to -1"
+        )
     newtonian = _is_newtonian(alpha)
     m = grid.node_count
     if not newtonian and m > MAX_KERNEL_NODES:
@@ -593,7 +594,7 @@ def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
             f"a Riesz kernel with alpha != 2 on {m} nodes is refused; the limit is "
             f"{MAX_KERNEL_NODES} nodes"
         )
-    key = (_mesh_key(grid), alpha)
+    key = (grid.key, alpha)
     if key not in _kernel_cache:
         data = _newtonian_operator(grid) if newtonian else _hodlr_operator(grid, alpha)
         _kernel_cache[key] = RieszKernel(alpha, grid.dimension, grid, data)
@@ -603,6 +604,6 @@ def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
 def hls_bilinear(u: RadialField, v: RadialField, alpha: float) -> float:
     """Bilinear HLS form int int u(x) v(y) / |x-y|^{N-alpha} dx dy; the two
     fields may sit on separately built but equal meshes."""
-    if u.grid is not v.grid and _mesh_key(u.grid) != _mesh_key(v.grid):
+    if u.grid.key != v.grid.key:
         raise InvalidParameterError("hls_bilinear needs fields on equal meshes")
     return kernel_for(u.grid, alpha).bilinear(u.values, v.values)

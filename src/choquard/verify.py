@@ -147,8 +147,9 @@ def check_level_window(report: SolveReport) -> CheckResult:
 def run_verification(report: SolveReport) -> VerificationReport:
     """The full suite on one solve report."""
     u = report.profile
+    pohozaev = check_pohozaev_identity(report.breakdown, report.params)
     checks = [
-        check_pohozaev_identity(report.breakdown, report.params),
+        pohozaev,
         check_positivity_monotonicity(u),
         check_radial_decay_bound(u),
         check_level_window(report),
@@ -158,7 +159,7 @@ def run_verification(report: SolveReport) -> VerificationReport:
     # Pohozaev + Nehari holding together must be witnessed by the solver's
     # weak-solution residual, whatever status the solve ended with.
     scale = report.breakdown.kinetic + report.breakdown.mass
-    premises = abs(report.P) <= POHOZAEV_TOL * scale and abs(report.nehari) <= 1e-4 * scale
+    premises = pohozaev.passed and abs(report.nehari) <= 1e-4 * scale
     implied = report.residual_norm <= RESIDUAL_TOL
     checks.append(
         CheckResult(

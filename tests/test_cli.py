@@ -397,6 +397,34 @@ class TestMalformedInput:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "InvalidParameterError"
 
+    @pytest.mark.parametrize("command", ["hls-check", "solve"])
+    def test_alpha_too_small_for_a_kernel(self, tmp_path, capsys, command):
+        # alpha - 1 rounds to -1, where the band quadrature's Jacobi weight
+        # is not integrable; constants needs no kernel and still answers
+        argv = ["hls-check", "--N", "3", "--alpha", "1e-300", "--pairs", "1", "--nodes", "64"]
+        if command == "solve":
+            cfg = write_config(
+                tmp_path / "cfg.json", tmp_path / "run",
+                params={"alpha": 1e-300, "p": 1.5}, grid={"M": 64},
+            )
+            argv = ["solve", "--config", str(cfg)]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "InvalidParameterError"
+        assert "alpha - 1 rounds to -1" in error["error"]
+        assert main(["constants", "--N", "3", "--alpha", "1e-300"]) == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dimension", ["80", "250"])
+    def test_mesh_beyond_float_range(self, capsys, dimension):
+        # r^N underflows at the first node for N = 80 and overflows at the
+        # last for N = 250, both well inside the Gamma limit N < 344
+        argv = ["hls-check", "--N", dimension, "--alpha", "1", "--pairs", "1", "--nodes", "1024"]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "InvalidParameterError"
+        assert f"N={dimension}" in error["error"]
+
     def test_hls_check_needs_a_pair(self, capsys):
         assert main(["hls-check", "--N", "3", "--alpha", "2", "--pairs", "0"]) == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "ConfigError"

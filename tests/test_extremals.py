@@ -171,7 +171,7 @@ class TestSharpConstants:
             raise AssertionError("sharp_constants built a mesh")
 
         monkeypatch.setattr(ex, "build_grid", refuse)
-        monkeypatch.setattr(ex, "grid_from_nodes", refuse, raising=False)
+        monkeypatch.setattr(ex, "RadialGrid", refuse, raising=False)
         ex.sharp_constants.cache_clear()
         # a dimension no other test asks for, so no memo can hide a build
         sc = ex.sharp_constants(7, 1.0)

@@ -63,7 +63,7 @@ class TestBuildGrid:
 
     def test_weights_positive_and_monotone_nodes(self):
         g = build_grid(5, 7.0, 200, scheme="graded", gamma=3.0)
-        assert np.all(g.weights > 0)
+        assert np.all(g.volume_weights > 0)
         assert np.all(np.diff(g.nodes) > 0)
         assert g.nodes[-1] == g.rmax
 

@@ -19,7 +19,7 @@ from choquard import (
 from choquard import riesz
 from choquard.extremals import pekar_extremal, talenti
 from choquard.functionals import Params, breakdown
-from choquard.grid import grid_from_nodes, read_profile_csv, write_profile_csv
+from choquard.grid import RadialGrid, read_profile_csv, write_profile_csv
 
 import oracles
 from oracles import (
@@ -195,7 +195,7 @@ class TestKernelMatrix:
         path = tmp_path / "profile.csv"
         write_profile_csv(sample(g, lambda r: np.exp(-(r**2))), path)
         nodes, _ = read_profile_csv(path)
-        assert kernel_for(grid_from_nodes(3, nodes), 2.0) is kernel_for(g, 2.0)
+        assert kernel_for(RadialGrid(3, nodes), 2.0) is kernel_for(g, 2.0)
 
     def test_other_mesh_or_alpha_gets_another_kernel(self):
         g = build_grid(3, 10.0, 64)
@@ -370,7 +370,7 @@ class TestHodlrOperator:
         # columns of one block differ by up to 10^11 here; compressing them
         # unscaled costs small columns their relative accuracy
         for g in (
-            grid_from_nodes(3, np.geomspace(1e-6, 20.0, 1000)),
+            RadialGrid(3, np.geomspace(1e-6, 20.0, 1000)),
             build_grid(3, 20.0, 1000, scheme="exponential"),
         ):
             dense = dense_kernel_matrix(g, alpha)

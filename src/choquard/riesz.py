@@ -5,10 +5,9 @@ one-dimensional integral against the angularly integrated kernel
 
     k(r, s) = int_{S^{N-1}} |r e_1 - s omega|^{alpha-N} d omega,
 
-for which a closed form exists: elementary for N = 3 and for alpha = 2,
-hypergeometric in general.  The reduced kernel is precomputed once per
-distinct mesh and alpha and kept for the process; no form of it stores
-the M x M matrix.  For alpha = 2 (the Newtonian kernel
+which is hypergeometric, and elementary at alpha = 2.  The reduced kernel
+is precomputed once per distinct mesh and alpha and kept for the process;
+no form of it stores the M x M matrix.  For alpha = 2 (the Newtonian kernel
 |S^{N-1}| max(r, s)^{2-N}) the matrix is rank one in each triangle off a
 5-diagonal band, so only the point weights and the band corrections are
 stored, O(M) numbers, and an apply costs two cumulative sums.  For other
@@ -20,21 +19,22 @@ approximation, O(M k log M) numbers for ranks k of 10 to 40.
 On the 5-diagonal band the kernel is replaced by its averages over the
 quadrature cells, which absorb the integrable singularity at r = s.  A
 cell not holding r takes 3 dyadic panels of 8-point Gauss-Legendre toward
-its near edge.  The cell around r is split there; with s = (alpha - 1)/2
-away from an integer, the 1 - xi connection formula writes
-k = P + |r - t|^{alpha-1} Q with P and Q smooth, integrated per side by 12
-Gauss-Legendre and 12 Gauss-Jacobi points.  Near an integer s, where that
-formula has Gamma poles, each side takes 30 dyadic panels of 6 points.
+its near edge.  The cell around r is split there.  On each side the 1 - xi
+connection formula, uniform in s = (alpha - 1)/2 = m + eps across the
+integers, leaves a smooth part for 12 Gauss-Legendre points and a smooth
+factor of the weight (1 - x^{2 eps})/eps, -2 log x at eps = 0, for 12
+points of that weight's Gauss rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1, roots_jacobi
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gamma, gammaln, hyp2f1, polygamma, rgamma
 
 from .errors import InvalidParameterError
 from .grid import RadialField, RadialGrid, sphere_area
@@ -47,13 +47,6 @@ __all__ = [
     "kernel_for",
     "hls_bilinear",
 ]
-
-_LOG_BRANCH_TOL = 1e-8
-# Within this distance of an integer, s = (alpha - 1)/2 puts the 1 - xi
-# connection formula on Gamma poles; the kernel then comes from hyp2f1 at
-# xi itself and the diagonal cell from the dyadic rule.
-_POLE_GAP = 0.05
-
 
 def _is_newtonian(alpha: float) -> bool:
     """alpha = 2, where the kernel has the closed form |S^{N-1}| max(r, s)^{2-N}."""
@@ -93,24 +86,15 @@ def hls_constant(dimension: int, alpha: float) -> float:
 
 
 def angular_kernel(dimension: int, alpha: float, r, s):
-    """Angular integral of |x - y|^{alpha-N} over directions of y.
-
-    At alpha = 2 this is |S^{N-1}| max(r, s)^{2-N} (Newton's theorem).  For
-    N = 3 the closed form
-        (2 pi / (r s)) ((r+s)^{a-1} - |r-s|^{a-1}) / (a - 1)
-    is used, with the logarithmic limit at a = 1, both evaluated through
-    2 atanh(min/max) = log((r+s)/|r-s|) without cancellation.  For other
-    dimensions
+    """Angular integral of |x - y|^{alpha-N} over directions of y,
 
         k(r, s) = c_N (r+s)^{alpha-N} 2F1((N-alpha)/2, (N-1)/2; N-1; xi),
-        xi = 4 r s / (r+s)^2,
+        xi = 4 r s / (r+s)^2
 
-    which follows from the Euler integral representation of the Gegenbauer
-    reduction.  Where xi >= 3/4 and (alpha - 1)/2 is not near an integer,
-    the 1 - xi connection formula gives k = P + |r-s|^{alpha-1} Q with P and
-    Q hypergeometric at the small argument 1 - xi (_regular_part,
-    _singular_factor).  Finite for r != s; diverges on the diagonal when
-    alpha <= 1.
+    (Euler integral of the Gegenbauer reduction), and |S^{N-1}|
+    max(r, s)^{2-N} at alpha = 2.  scipy's hyp2f1 takes xi < 3/4; where
+    y = 1 - xi <= 1/4, k = P + Q (y^eps - 1)/eps (_connection_parts), the
+    logarithmic form at eps = 0.  Finite at r = s only when alpha > 1.
     """
     _check_alpha(dimension, alpha)
     r = np.asarray(r, dtype=float)
@@ -121,87 +105,116 @@ def angular_kernel(dimension: int, alpha: float, r, s):
         if dimension == 3:
             return 4.0 * math.pi / np.maximum(r, s)
         return sphere_area(dimension) * np.maximum(r, s) ** (2.0 - dimension)
-    if dimension == 3:
-        # log((r+s)/|r-s|) = 2 atanh(min/max), taken as log1p of a ratio
-        # that keeps full precision both for r << s and next to r = s;
-        # the power difference is then (r+s)^{a-1} (1 - e^{-(a-1) log}),
-        # free of the cancellation of subtracting the two powers.
-        with np.errstate(divide="ignore"):
-            log_ratio = np.log1p(2.0 * np.minimum(r, s) / np.abs(r - s))
-        if abs(alpha - 1.0) < _LOG_BRANCH_TOL:
-            return (2.0 * math.pi / (r * s)) * log_ratio
-        a = alpha - 1.0
-        return (2.0 * math.pi / (r * s)) * (r + s) ** a * -np.expm1(-a * log_ratio) / a
-    y = ((r - s) / (r + s)) ** 2  # 1 - xi, computed stably
-    # hyp2f1 at xi itself is fast and accurate below xi = 3/4 and up to 100
-    # times slower near xi = 1; the split loses digits as 1 - xi nears 1/2
-    near = None if _near_pole(alpha) else y <= 0.25
-    if near is None or not near.any():
-        return _hypergeometric_form(dimension, alpha, r, s, y)
-    r, s, y = np.broadcast_arrays(r, s, y)
-    far = ~near
-    out = np.empty(y.shape)
-    out[far] = _hypergeometric_form(dimension, alpha, r[far], s[far], y[far])
-    r, s = r[near], s[near]
-    singular = np.abs(r - s) ** (alpha - 1.0) * _singular_factor(dimension, alpha, r, s)
-    out[near] = _regular_part(dimension, alpha, r, s) + singular
+    n, b = dimension, 0.5 * (dimension - 1.0)
+    total, y = np.broadcast_arrays(r + s, ((r - s) / (r + s)) ** 2)  # y = 1 - xi, computed stably
+    near = y <= 0.25
+    c_n = 2.0 ** (n - 1) * math.pi**b * math.exp(gammaln(b) - gammaln(n - 1.0))
+    xi = np.where(near, 0.0, 1.0 - y)
+    out = np.asarray(c_n * total ** (alpha - n) * hyp2f1(0.5 * (n - alpha), b, n - 1.0, xi))
+    if near.any():
+        regular, factor = _connection_parts(n, alpha, total[near], y[near])
+        with np.errstate(divide="ignore", invalid="ignore"):  # y = 0 where r = s
+            term = factor * _expm1_ratio(_split_exponent(alpha)[1], np.log(y[near]))
+        out[near] = regular + np.where(factor == 0.0, 0.0, term)
     return out[()]
 
 
-def _hypergeometric_form(dimension: int, alpha: float, r, s, y):
-    """k(r, s) = c_N (r+s)^{alpha-N} 2F1((N-alpha)/2, (N-1)/2; N-1; xi) for
-    N >= 4, given y = 1 - xi."""
-    n = dimension
-    log_c = (
-        (n - 1.0) * math.log(2.0)
-        + ((n - 1.0) / 2.0) * math.log(math.pi)
-        + gammaln((n - 1.0) / 2.0)
-        - gammaln(n - 1.0)
+def _split_exponent(alpha: float) -> tuple[int, float]:
+    """s = (alpha - 1)/2 as m + eps, with integer m >= 0 and -1/2 < eps <= 1/2."""
+    m = max(0, math.ceil(alpha / 2.0 - 1.0))
+    return m, 0.5 * (alpha - 1.0 - 2 * m)
+
+
+def _expm1_ratio(eps: float, z):
+    """(e^{eps z} - 1)/eps, which is z at eps = 0."""
+    return z if eps == 0.0 else np.expm1(eps * z) / eps
+
+
+@lru_cache(maxsize=None)
+def _connection_series(dimension: int, alpha: float) -> np.ndarray:
+    """Coefficients of P and of Q / y^m as power series in y = 1 - xi.
+
+    With b = (N-1)/2 and s = m + eps, DLMF 15.8.4 gives
+    k (r+t)^{N-alpha} / (2^{N-1} pi^b) = F(s) + y^s F(-s), where
+    F(s) = Gamma(N-1) Gamma(s) / (Gamma(b) Gamma(b+s)) 2F1(b-s, b; 1-s; y).
+    The poles 1/eps of term m + k of F(s) and term k of F(-s) cancel in
+    closed form (Forrey 1997): the log of their Gamma ratio is eps times a
+    Taylor series in eps.  At eps = 0 this is A&S 15.3.10-12."""
+    n, b = dimension, 0.5 * (dimension - 1.0)
+    m, eps = _split_exponent(alpha)
+    s = m + eps
+    base = 2.0 ** (n - 1) * math.pi**b
+    k = np.arange(400.0)
+    # -eps times the y^{m+k} coefficients of y^s F(-s)
+    terms = (-1) ** m * base / np.sinc(eps) * rgamma(b - s) * rgamma(1.0 + s) * np.cumprod(
+        np.append(1.0, (b + k[:-1]) * (b + s + k[:-1]) / ((k[:-1] + 1.0) * (1.0 + s + k[:-1])))
     )
-    # xi clamped away from 1 so hyp2f1 stays finite; the clamp touches only
-    # |r-s| < ~3e-7 max(r,s), which the split takes unless (alpha - 1)/2 is
-    # near an integer
-    xi = np.minimum(1.0 - np.minimum(y, 1.0), 1.0 - 1e-13)
-    return math.exp(log_c) * (r + s) ** (alpha - n) * hyp2f1(
-        (n - alpha) / 2.0, (n - 1.0) / 2.0, n - 1.0, xi
-    )
+    size = np.abs(terms) * 0.25**k
+    keep = np.flatnonzero(size > 1e-18 * size.max())[-1] + 1  # terms that matter at y = 1/4
+    k, terms = k[:keep], terms[:keep]
+    # (log Gamma(x + e) - log Gamma(x))/e by its Taylor series in e
+    x = np.stack((k + 1.0, b + k, m + k + 1.0, b + m + k))
+    e = eps * np.array([[-1.0], [-1.0], [1.0], [1.0]])
+    j = np.arange(60)[:, None, None]
+    slope = [1.0, -1.0, 1.0, -1.0] @ np.sum(polygamma(j, x) * e**j * rgamma(j + 2.0), axis=0)
+    head = [base * gamma(s) * rgamma(b + s)] if m else []  # terms n < m of F(s)
+    for i in range(m - 1):
+        head.append(head[-1] * (b - s + i) * (b + i) / ((1.0 - s + i) * (i + 1.0)))
+    regular = np.concatenate((head, terms * _expm1_ratio(eps, slope)))
+    return np.column_stack((regular, np.pad(-terms, (0, m))))
 
 
-def _near_pole(alpha: float) -> bool:
-    """(alpha - 1)/2 within _POLE_GAP of an integer, where the Gamma factors
-    of the 1 - xi connection formula have poles."""
-    s = 0.5 * (alpha - 1.0)
-    return abs(s - round(s)) < _POLE_GAP
+def _connection_parts(dimension: int, alpha: float, total, y) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q in k(r, t) = P + Q (y^eps - 1)/eps, given r + t and
+    y = ((r-t)/(r+t))^2 <= 1/4: P, and Q / y^m, are smooth across t = r."""
+    m, _ = _split_exponent(alpha)
+    coefficients = _connection_series(dimension, alpha)
+    top = np.max(y, initial=0.0)  # the terms that matter at the largest y
+    size = np.abs(coefficients).max(axis=1) * top ** np.arange(len(coefficients))
+    coefficients = coefficients[: np.flatnonzero(size >= 1e-18 * size.max())[-1] + 1]
+    regular, factor = (np.full(y.shape, c) for c in coefficients[-1])
+    for a, b in coefficients[-2::-1].tolist():  # Horner
+        regular *= y
+        regular += a
+        factor *= y
+        factor += b
+    scale = total ** (alpha - dimension)
+    return scale * regular, scale * y**m * factor
 
 
-def _regular_part(dimension: int, alpha: float, r, t):
-    """P in k(r, t) = P + |r-t|^{alpha-1} Q, smooth in t across t = r, from
-    the 1 - xi connection formula (DLMF 15.8.4; A&S 15.3.6).  With
-    s = (alpha-1)/2 away from an integer and y = ((r-t)/(r+t))^2, for N >= 4
-        P = 2^{N-1} pi^{(N-1)/2} Gamma(s) / Gamma((N+alpha)/2 - 1)
-            (r+t)^{alpha-N} 2F1((N-alpha)/2, (N-1)/2; 1-s; y)."""
-    if dimension == 3:
-        a = alpha - 1.0
-        return (2.0 * math.pi / a) * (r + t) ** a / (r * t)
-    n, s = dimension, 0.5 * (alpha - 1.0)
-    base = 2.0 ** (n - 1) * math.pi ** ((n - 1) / 2.0)
-    gain = base * math.gamma(s) / math.gamma((n + alpha) / 2.0 - 1.0)
-    y = ((r - t) / (r + t)) ** 2
-    return gain * (r + t) ** (alpha - n) * hyp2f1((n - alpha) / 2.0, (n - 1.0) / 2.0, 1.0 - s, y)
+@lru_cache(maxsize=None)
+def _singular_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule on [0, 1] for the weight (1 - x^{2 eps})/eps, -2 log x at
+    eps = 0, by Gautschi's modified Chebyshev algorithm (Orthogonal
+    Polynomials, 2004, sec. 2.1.7) and Golub-Welsch.  The modified moments
+    are against the Jacobi polynomials 2F1(-k, k + 2 eps + 1; 2 eps + 1; x)
+    of x^{2 eps}: 2/(2 eps + 1) at k = 0, 2/((2 eps + k)(k + 1)) after.
+    Each factor 2 eps + j is formed from alpha, keeping its digits as
+    alpha -> 0."""
+    m, _ = _split_exponent(alpha)
+    n = _SPLIT_ORDER
+    k = np.arange(1.0, 2 * n)
 
+    def shifted(j):  # 2 eps + j
+        return alpha + (j - 1.0 - 2 * m)
 
-def _singular_factor(dimension: int, alpha: float, r, t):
-    """Q in k(r, t) = P + |r-t|^{alpha-1} Q, smooth in t across t = r; for N >= 4
-        Q = 2^{N-1} pi^{(N-1)/2} Gamma(-s) / Gamma((N-alpha)/2)
-            (r+t)^{1-N} 2F1((N+alpha)/2 - 1, (N-1)/2; 1+s; y)."""
-    if dimension == 3:
-        return (-2.0 * math.pi / (alpha - 1.0)) / (r * t)
-    n, s = dimension, 0.5 * (alpha - 1.0)
-    base = 2.0 ** (n - 1) * math.pi ** ((n - 1) / 2.0)
-    gain = base * math.gamma(-s) / math.gamma((n - alpha) / 2.0)
-    y = ((r - t) / (r + t)) ** 2
-    a, b = (n + alpha) / 2.0 - 1.0, (n - 1.0) / 2.0
-    return gain * (r + t) ** (1.0 - n) * hyp2f1(a, b, 1.0 + s, y)
+    # the basis's monic recurrence p_{k+1} = (x - a_k) p_k - b_k p_{k-1}
+    even, beta = shifted(2 * k), shifted(0)
+    a = np.append(shifted(1) / shifted(2), 0.5 + 0.5 * beta**2 / (even * shifted(2 * k + 2)))
+    b = np.append(0.0, (k * shifted(k)) ** 2 / (even**2 * shifted(2 * k + 1) * shifted(2 * k - 1)))
+    # moments against the monic basis: R_k leads with (-1)^k (2 eps + k + 1)_k / (2 eps + 1)_k
+    lead = [math.prod(-shifted(j + i + 1) / shifted(i + 1) for i in range(j)) for j in range(2 * n)]
+    sigma = np.append(2.0 / shifted(1), 2.0 / (shifted(k) * (k + 1.0))) / lead
+    diag, off = [a[0] + sigma[1] / sigma[0]], [sigma[0]]
+    previous = np.zeros_like(sigma)
+    for j in range(1, n):  # entries j .. 2n - j - 1 of each row are the ones read
+        nxt = np.roll(sigma, -1) - (diag[j - 1] - a) * sigma - off[j - 1] * previous
+        nxt += b * np.roll(sigma, 1)
+        diag.append(a[j] + nxt[j + 1] / nxt[j] - sigma[j] / sigma[j - 1])
+        off.append(nxt[j] / sigma[j - 1])
+        previous, sigma = sigma, nxt
+    nodes, vectors = eigh_tridiagonal(np.array(diag), np.sqrt(off[1:]))
+    return nodes, off[0] * vectors[0] ** 2
 
 
 def _panel_rule(levels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -218,58 +231,60 @@ def _panel_rule(levels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 # Cells that do not hold r: the kernel's peak sits some half a cell or more
 # beyond the near edge, and 3 panels of 8 points reach 1e-15.
 _OUTSIDE_RULE = _panel_rule(3, 8)
-# The diagonal cell at (alpha - 1)/2 near an integer: 30 panels of 6 points
-# per side, the last one over the singular sliver.
-_DYADIC_RULE = _panel_rule(30, 6)
-# The diagonal cell otherwise: Gauss-Legendre for P, Gauss-Jacobi with the
-# weight x^{alpha-1} for Q, 12 points each per side.
+# The diagonal cell: per side, Gauss-Legendre for the smooth part and
+# _singular_rule for the singular one, 12 points each.
 _SPLIT_ORDER = 12
 _SMOOTH_RULE = _panel_rule(1, _SPLIT_ORDER)
 _BANDWIDTH = 2
 _OFFSETS = range(-_BANDWIDTH, _BANDWIDTH + 1)
-# rows per block of a cell-average pass: each side evaluates rows x at most
-# 180 kernel points, 12 MiB per array at this size
-_BAND_BLOCK_ROWS = 8192
+# rows per block of a cell-average pass: at most 24 kernel points a row, so
+# each temporary array stays near 200 KB
+_BAND_BLOCK_ROWS = 1024
 
 
-def _side_integral(f, r, near, far, rule, power: float = 0.0) -> np.ndarray:
-    """Integral of |t - near|^power f(r, t) over t between near and far, by a
-    rule on [0, 1] whose points are fractions of the way from near to far
-    and whose weights carry the factor x^power.  Rows of zero width give 0."""
-    frac, wts = rule
+def _side_integral(f, r, near, far) -> np.ndarray:
+    """Integral of f(r, t) over t between near and far, by _OUTSIDE_RULE in
+    the fraction of the way from near to far; rows of zero width give 0."""
+    frac, wts = _OUTSIDE_RULE
     width = np.abs(far - near)
     out = np.zeros_like(r)
     rows = width > 0
     t = near[rows, None] + (far - near)[rows, None] * frac
-    out[rows] = width[rows] ** (1.0 + power) * (f(r[rows, None], t) @ wts)
+    out[rows] = width[rows] * (f(r[rows, None], t) @ wts)
     return out
 
 
-def _diagonal_average(dimension: int, alpha: float, r, a, b) -> np.ndarray:
-    """Average of k(r, .) over the cell [a, b] around r, integrated on each
-    side of r toward the integrable |r-t|^{alpha-1} singularity."""
-    if _near_pole(alpha):
-        kernel = partial(angular_kernel, dimension, alpha)
-        total = sum(_side_integral(kernel, r, r, edge, _DYADIC_RULE) for edge in (a, b))
-        return total / (b - a)
-    # roots_jacobi(n, 0, beta) carries the weight (1 + x)^beta on [-1, 1]
-    nodes, weights = roots_jacobi(_SPLIT_ORDER, 0.0, alpha - 1.0)
-    singular = (0.5 * (1.0 + nodes), 0.5**alpha * weights)
-    regular = partial(_regular_part, dimension, alpha)
-    factor = partial(_singular_factor, dimension, alpha)
-    total = sum(
-        _side_integral(regular, r, r, edge, _SMOOTH_RULE)
-        + _side_integral(factor, r, r, edge, singular, alpha - 1.0)
-        for edge in (a, b)
-    )
-    return total / (b - a)
+def _split_side(dimension: int, alpha: float, r, edge) -> np.ndarray:
+    """Integral of k(r, t) over t between r and an edge within y <= 1/4.
+    With t = r + (edge - r) x and lam = |edge - r|/(r + t),
+        k = P + Q (lam^{2 eps} - 1)/eps - Q lam^{2 eps} (1 - x^{2 eps})/eps:
+    smooth in x, and smooth times the weight of _singular_rule."""
+    _, eps = _split_exponent(alpha)
+    width = np.abs(edge - r)
+    out = np.zeros_like(r)
+    rows = width > 0
+    r, step, width = r[rows, None], (edge - r)[rows, None], width[rows, None]
+
+    def parts(x):
+        total = 2.0 * r + step * x  # r + t
+        log_lam = np.log(width / total)
+        return _connection_parts(dimension, alpha, total, np.exp(2.0 * log_lam) * x**2), log_lam
+
+    (regular, factor), log_lam = parts(_SMOOTH_RULE[0])
+    smooth = (regular + factor * _expm1_ratio(eps, 2.0 * log_lam)) @ _SMOOTH_RULE[1]
+    nodes, weights = _singular_rule(alpha)
+    (_, factor), log_lam = parts(nodes)
+    out[rows] = width[:, 0] * (smooth - (factor * np.exp(2.0 * eps * log_lam)) @ weights)
+    return out
 
 
-def _outside_average(dimension: int, alpha: float, r, near, far) -> np.ndarray:
-    """Average of k(r, .) over a cell not holding r, with `near` its edge
-    toward r."""
-    kernel = partial(angular_kernel, dimension, alpha)
-    return _side_integral(kernel, r, near, far, _OUTSIDE_RULE) / np.abs(far - near)
+def _diagonal_integral(dimension: int, alpha: float, r, a, b) -> np.ndarray:
+    """Integral of k(r, .) over the cell [a, b] around r, split at r.  P and Q
+    have a pole at y = 1 (t = 0) of order growing with N, so the split sides
+    stop at y = 1/9: a >= r/2, and the cell beyond 2r takes _OUTSIDE_RULE."""
+    mid = np.minimum(b, 2.0 * r)
+    split = _split_side(dimension, alpha, r, a) + _split_side(dimension, alpha, r, mid)
+    return split + _side_integral(partial(angular_kernel, dimension, alpha), r, mid, b)
 
 
 def _in_blocks(average, *columns: np.ndarray) -> np.ndarray:
@@ -281,42 +296,25 @@ def _in_blocks(average, *columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_rows(m: int, off: int) -> np.ndarray:
-    """Rows i of an m x m matrix whose column i + off exists."""
-    return np.arange(max(0, -off), min(m, m - off))
-
-
 def _band_averages(grid: RadialGrid, alpha: float) -> np.ndarray:
     """Cell averages of k(r_i, .) over the quadrature cell of node i + off:
-    row off + 2 holds offset off = -2..2, column i holds node i, and
-    entries whose node i + off is off the mesh are zero.
-
-    Point values of the singular kernel next to the diagonal would cost an
-    order of accuracy; averages restore the composite rule's second order.
-    """
+    row off + 2 holds offset off = -2..2, column i node i, and entries whose
+    node i + off is off the mesh are zero.  Point values of the singular
+    kernel next to the diagonal would cost the composite rule an order."""
     r = grid.nodes
     m = r.size
     # Node j's quadrature cell runs between the midpoints to its neighbors.
-    edges_lo = np.empty_like(r)
-    edges_hi = np.empty_like(r)
-    edges_lo[0] = 0.5 * r[0]
-    edges_lo[1:] = 0.5 * (r[:-1] + r[1:])
-    edges_hi[:-1] = edges_lo[1:]
-    edges_hi[-1] = r[-1]
-
+    edges = np.concatenate(([0.5 * r[0]], 0.5 * (r[:-1] + r[1:]), [r[-1]]))
+    diagonal = partial(_diagonal_integral, grid.dimension, alpha)
+    outside = partial(_side_integral, partial(angular_kernel, grid.dimension, alpha))
     band = np.zeros((len(_OFFSETS), m))
     for row, off in enumerate(_OFFSETS):
-        idx_i = _band_rows(m, off)
-        idx_j = idx_i + off
-        lo, hi = edges_lo[idx_j], edges_hi[idx_j]
-        if off == 0:
-            average = partial(_diagonal_average, grid.dimension, alpha)
-            band[row, idx_i] = _in_blocks(average, r[idx_i], lo, hi)
-        else:
-            # node i lies left of a cell with off > 0, right of one with off < 0
-            near, far = (lo, hi) if off > 0 else (hi, lo)
-            average = partial(_outside_average, grid.dimension, alpha)
-            band[row, idx_i] = _in_blocks(average, r[idx_i], near, far)
+        idx_i = np.arange(max(0, -off), min(m, m - off))  # rows whose column i + off exists
+        lo, hi = edges[idx_i + off], edges[idx_i + off + 1]
+        # node i lies left of a cell with off > 0, right of one with off < 0
+        near, far = (lo, hi) if off >= 0 else (hi, lo)
+        integral = diagonal if off == 0 else outside
+        band[row, idx_i] = _in_blocks(integral, r[idx_i], near, far) / (hi - lo)
     return band
 
 
@@ -345,7 +343,7 @@ def _band_corrections(grid: RadialGrid, alpha: float, stored) -> np.ndarray:
     band = _band_averages(grid, alpha)
     corrections = np.zeros_like(band)
     for row, off in enumerate(_OFFSETS):
-        idx_i = _band_rows(m, off)
+        idx_i = np.arange(max(0, -off), min(m, m - off))  # rows whose column i + off exists
         idx_j = idx_i + off
         # band[-off] at column j is the transposed entry (j, i)
         sym = 0.5 * (band[row, idx_i] + band[-1 - row, idx_j])
@@ -580,8 +578,8 @@ def kernel_for(grid: RadialGrid, alpha: float) -> RieszKernel:
     """Reduced kernel for one mesh and exponent, built on first use and
     shared by every equal mesh.  Refused first: for alpha != 2 a mesh of
     more than MAX_KERNEL_NODES nodes, and an alpha so small (below about
-    2^-54) that alpha - 1 rounds to -1, where the band quadrature's Jacobi
-    weight (1 + x)^{alpha-1} is not integrable."""
+    2^-54) that alpha - 1 rounds to -1, where s = (alpha - 1)/2 has lost
+    alpha."""
     _check_alpha(grid.dimension, alpha)
     if alpha - 1.0 == -1.0:
         raise InvalidParameterError(

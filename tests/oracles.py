@@ -201,6 +201,37 @@ def cell_average_mp(dimension: int, alpha: float, r: float, a: float, b: float) 
         return float((side(a - r) + side(b - r)) / (b - a))
 
 
+def singular_gauss_rule_mp(alpha: float, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule on [0, 1] for the weight (1 - x^{2 eps})/eps, by mpmath.
+
+    s = (alpha - 1)/2 = m + eps with integer m >= 0 and -1/2 < eps <= 1/2.
+    Not the package's modified Chebyshev algorithm on Jacobi moments: the
+    ordinary moments 2/((j + 1)(j + 1 + 2 eps)) fill a Hankel matrix whose
+    Cholesky factor gives the recurrence (Golub & Welsch 1969), at enough
+    digits to absorb its ill-conditioning, and mpmath's symmetric
+    eigensolver gives the nodes and weights.
+    """
+    import mpmath as mp
+
+    m = max(0, math.ceil(alpha / 2.0 - 1.0))
+    with mp.workdps(100):
+        two_eps = mp.mpf(alpha) - 1 - 2 * m
+        moments = [2 / ((j + 1) * (j + 1 + two_eps)) for j in range(2 * points + 1)]
+        hankel = mp.matrix(points + 1, points + 1)
+        for i in range(points + 1):
+            for j in range(points + 1):
+                hankel[i, j] = moments[i + j]
+        r = mp.cholesky(hankel).T
+        jacobi = mp.matrix(points, points)
+        for k in range(points):
+            jacobi[k, k] = r[k, k + 1] / r[k, k] - (r[k - 1, k] / r[k - 1, k - 1] if k else 0)
+            if k + 1 < points:
+                jacobi[k, k + 1] = jacobi[k + 1, k] = r[k + 1, k + 1] / r[k, k]
+        nodes, vectors = mp.eigsy(jacobi)
+        weights = [moments[0] * vectors[0, k] ** 2 for k in range(points)]
+        return np.array(nodes.tolist(), dtype=float).ravel(), np.array(weights, dtype=float)
+
+
 def random_positive_field(grid, rng: np.random.Generator):
     """Sum of a few positive Gaussian humps, decaying well inside rmax."""
     from choquard.grid import RadialField

@@ -324,6 +324,18 @@ class TestBubbleAndHls:
         assert doc["bound_holds"] is True
         assert doc["near_extremal"] is True
 
+    @pytest.mark.parametrize("alpha", ["6e-17", "1e-16"])
+    def test_hls_check_keeps_tiny_alpha(self, tmp_path, capsys, alpha):
+        # the diagonal cell's quadrature weight is formed from alpha itself,
+        # so alpha just above the 2^-54 refusal reads as alpha = 1e-8 does
+        def fraction(value):
+            out = tmp_path / f"hls_{value}.json"
+            argv = ["hls-check", "--N", "3", "--alpha", value, "--pairs", "1", "--nodes", "64"]
+            assert main([*argv, "--out", str(out)]) == 0
+            return json.loads(out.read_text())["extremal_fraction"]
+
+        assert fraction(alpha) == pytest.approx(fraction("1e-8"), abs=1e-3)
+
 
 class TestMalformedInput:
     """Each malformed config, report or argument exits 3 with a JSON error."""
@@ -399,8 +411,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", ["hls-check", "solve"])
     def test_alpha_too_small_for_a_kernel(self, tmp_path, capsys, command):
-        # alpha - 1 rounds to -1, where the band quadrature's Jacobi weight
-        # is not integrable; constants needs no kernel and still answers
+        # alpha - 1 rounds to -1, where s = (alpha - 1)/2 has lost alpha;
+        # constants needs no kernel and still answers
         argv = ["hls-check", "--N", "3", "--alpha", "1e-300", "--pairs", "1", "--nodes", "64"]
         if command == "solve":
             cfg = write_config(

@@ -27,6 +27,7 @@ from oracles import (
     dense_kernel_matrix,
     gamma_hls_constant,
     random_positive_field,
+    singular_gauss_rule_mp,
     theta_kernel_oracle,
 )
 
@@ -143,11 +144,15 @@ class TestAngularKernel:
         assert angular_kernel(3, alpha, r, s) == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize(
-        "n,alpha", [(4, 2.5), (5, 1.5), (4, 1.1), (4, 0.89), (6, 2.2), (4, 0.3), (6, 5.5)]
+        "n,alpha",
+        [(4, 2.5), (5, 1.5), (4, 1.1), (4, 0.89), (6, 2.2), (4, 0.3), (6, 5.5), (4, 1.0),
+         (4, 1.02), (4, 0.9001), (4, 3.0), (6, 3.0), (6, 3.04)],
     )
     def test_connection_split_against_mpmath(self, n, alpha, rng):
-        # (alpha - 1)/2 at 0.75, 0.25, 0.05, -0.055, 0.6, -0.35 and 2.25:
-        # xi >= 3/4 goes through P + |r-s|^{alpha-1} Q, the rest through hyp2f1
+        # (alpha - 1)/2 at 0.75, 0.25, 0.05, -0.055, 0.6, -0.35, 2.25, on the
+        # integers 0 and 1 and within 0.05 of them: xi >= 3/4 goes through
+        # the connection series, the logarithmic one at an integer, and the
+        # rest through hyp2f1
         r = rng.uniform(0.01, 10.0, 40)
         one_minus_xi = np.concatenate((10.0 ** rng.uniform(-14, np.log10(0.25), 30),
                                        rng.uniform(0.25, 1.0, 10)))
@@ -165,6 +170,16 @@ class TestAngularKernel:
                     (n - alpha) * half, (n - 1) * half, n - 1, xi
                 )
                 assert value == pytest.approx(float(exact), rel=1e-13)
+
+    @pytest.mark.parametrize("n,alpha", [(4, 2.5), (4, 2.9), (4, 3.0), (5, 1.5), (6, 5.5)])
+    def test_finite_on_the_diagonal_above_one(self, n, alpha):
+        # at xi = 1, 2F1(a, b; c; 1) = Gamma(c) Gamma(c-a-b) / (Gamma(c-a) Gamma(c-b))
+        with mpmath.workdps(30):
+            a, b, c = (n - mpmath.mpf(alpha)) / 2, mpmath.mpf(n - 1) / 2, n - 1
+            c_n = 2 ** (n - 1) * mpmath.pi**b * mpmath.gamma(b) / mpmath.gamma(c)
+            gauss = mpmath.gamma(c) * mpmath.gamma(c - a - b) / mpmath.gamma(c - a)
+            exact = float(c_n * 2 ** (alpha - n) * gauss / mpmath.gamma(c - b))
+        assert angular_kernel(n, alpha, 1.0, 1.0) == pytest.approx(exact, rel=1e-13)
 
     def test_rejects_nonpositive_radii(self):
         with pytest.raises(InvalidParameterError):
@@ -226,14 +241,15 @@ class TestKernelMatrix:
 
 
 class TestBandAverages:
-    # Bounds on the diagonal where (alpha - 1)/2 is an integer: that cell
-    # keeps the 30-panel dyadic rule, whose kernel values at N >= 4 come
-    # from hyp2f1 with xi clamped at 1 - 1e-13, so they cannot exceed the
-    # log singularity's value at |r - t| ~ 6e-7 r.
+    # The diagonal cell takes one rule for every alpha, the logarithmic
+    # weight where (alpha - 1)/2 is an integer (3, 1.0), (4, 1.0), (4, 3.0),
+    # (6, 3.0) and the same weight family within 0.05 of one (4, 1.02),
+    # (4, 0.9).  Measured: diagonal cells within 1.3e-15 of the oracle, and
+    # every entry within 1e-14.
     @pytest.mark.parametrize(
         "n,alpha,diagonal_rel",
-        [(3, 0.5, 1e-12), (3, 1.0, 1e-10), (3, 1.5, 1e-12), (4, 1.0, 5e-5), (4, 2.5, 1e-12),
-         (5, 1.5, 1e-12)],
+        [(3, 0.5, 1e-12), (3, 1.0, 1e-12), (3, 1.5, 1e-12), (4, 1.0, 1e-12), (4, 2.5, 1e-12),
+         (5, 1.5, 1e-12), (4, 1.02, 1e-12), (4, 0.9, 1e-12), (4, 3.0, 1e-12), (6, 3.0, 1e-12)],
     )
     def test_matches_mpmath_cell_average(self, n, alpha, diagonal_rel):
         g = build_grid(n, 20.0, 512, scheme="graded")
@@ -251,14 +267,17 @@ class TestBandAverages:
                 bound = diagonal_rel if off == 0 else 1e-12
                 assert band[row, i] == pytest.approx(exact, rel=bound), (i, off)
 
-    @pytest.mark.parametrize("alpha,limit", [(1.0, 950_000), (2.5, 300_000)])
+    @pytest.mark.parametrize(
+        "alpha,limit",
+        [(1.0, 300_000), (2.5, 300_000), (0.9, 300_000), (1.02, 300_000), (3.0, 300_000)],
+    )
     def test_kernel_points_per_band(self, alpha, limit, monkeypatch):
         # N=4, M=2048: the 4 rows beside the diagonal take 24 points per
-        # cell; the diagonal 48 per cell, or 360 where (alpha - 1)/2 is an
-        # integer.  Points angular_kernel passes on to the split count once.
+        # cell and the diagonal 48, at every alpha.  Points angular_kernel
+        # passes on to the connection series count once.
         points = []
         depth = [0]
-        for name in ("angular_kernel", "_regular_part", "_singular_factor"):
+        for name in ("angular_kernel", "_connection_parts"):
             original = getattr(riesz, name)
 
             def counted(*args, original=original):
@@ -268,12 +287,40 @@ class TestBandAverages:
                 finally:
                     depth[0] -= 1
                 if depth[0] == 0:
-                    points.append(np.size(values))
+                    points.append(np.broadcast(*args[2:]).size)
                 return values
 
             monkeypatch.setattr(riesz, name, counted)
         riesz._band_averages(build_grid(4, 12.0, 2048, scheme="graded"), alpha)
         assert sum(points) <= limit
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_continuous_across_integer(self, n):
+        # s = (alpha - 1)/2 = +-5e-10 against the logarithmic limit at s = 0.
+        # Each side moves by the kernel's own alpha-derivative, up to 9e-9
+        # here (k carries (r+t)^{alpha-N}); a jump at the integer would
+        # also move their mean, which stays within 1e-10 of the limit.
+        g = build_grid(n, 12.0, 256, scheme="graded")
+        at_integer = riesz._band_averages(g, 1.0)
+        below = riesz._band_averages(g, 1.0 - 1e-9)
+        above = riesz._band_averages(g, 1.0 + 1e-9)
+        for side in (below, above):
+            assert np.all(np.abs(side - at_integer) <= 2e-8 * at_integer)
+        assert np.all(np.abs(0.5 * (below + above) - at_integer) <= 1e-10 * at_integer)
+
+
+class TestSingularRule:
+    # (alpha - 1)/2 on the integers 0 and 1, 5e-10 from 0, 0.05 from 0 and
+    # from 1/2, and alpha down to just above the 2^-54 refusal
+    @pytest.mark.parametrize(
+        "alpha", [1.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.9, 0.5, 2.0, 2.01, 2.5, 3.0, 5.9, 1e-8, 6e-17]
+    )
+    def test_matches_mpmath_gauss_rule(self, alpha):
+        nodes, weights = riesz._singular_rule(alpha)
+        exact_nodes, exact_weights = singular_gauss_rule_mp(alpha, nodes.size)
+        order = np.argsort(exact_nodes)
+        assert np.max(np.abs(nodes / exact_nodes[order] - 1.0)) <= 1e-13
+        assert np.max(np.abs(weights / exact_weights[order] - 1.0)) <= 1e-13
 
 
 class TestNewtonianOperator:

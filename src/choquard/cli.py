@@ -78,7 +78,6 @@ class RunConfig:
     params: Params
     grid_spec: dict
     solve: SolveOptions
-    init: str
     output_dir: Path
     continuation: tuple[str, int] | None = None  # (target, steps); only cmd_continue reads it
     sweep: object = None  # the raw "sweep" section; only cmd_sweep reads it
@@ -88,11 +87,6 @@ class RunConfig:
         return build_grid(
             self.params.N, gs["rmax"], gs["M"], scheme=gs["scheme"], gamma=gs["gamma"]
         )
-
-    def initial_field(self, grid: RadialGrid) -> RadialField:
-        if self.init == "zero":
-            return RadialField(grid, np.zeros(grid.node_count))
-        return default_initial_guess(grid)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -130,8 +124,8 @@ def load_config(path: str | Path) -> RunConfig:
     if "max_iter" in ssec:
         ssec["max_iter"] = parse_value(int, ssec["max_iter"], "solve.max_iter")
     init = ssec.pop("init", "gaussian")
-    if init not in ("gaussian", "zero"):
-        raise ConfigError(f"unknown init kind {init!r}")
+    if init != "gaussian":
+        raise ConfigError(f"solve.init must be 'gaussian', got {init!r}")
     continuation = ssec.pop("continuation", None)
     if continuation is not None:
         cont = require_keys(
@@ -150,7 +144,6 @@ def load_config(path: str | Path) -> RunConfig:
         params=params,
         grid_spec=grid_spec,
         solve=opts,
-        init=init,
         output_dir=output_dir,
         continuation=continuation,
         sweep=doc.get("sweep"),
@@ -209,7 +202,7 @@ def cmd_constants(args) -> int:
 def cmd_solve(args) -> int:
     config = load_config(args.config)
     grid = config.build_grid()
-    report = ground_state(config.params, config.initial_field(grid), config.solve)
+    report = ground_state(config.params, default_initial_guess(grid), config.solve)
     _write_report(report, config.output_dir)
     return EXIT_OK if report.status == "converged" else EXIT_DICHOTOMY
 
@@ -259,7 +252,7 @@ def _sweep_cell(config: RunConfig) -> dict:
     row = {k: params[k] for k in SWEEP_AXES}
     grid = config.build_grid()
     try:
-        report = ground_state(config.params, config.initial_field(grid), config.solve)
+        report = ground_state(config.params, default_initial_guess(grid), config.solve)
         _write_report(report, config.output_dir)
         row.update(J=report.J, status=report.status, residual=report.residual_norm)
     except ChoquardError as exc:

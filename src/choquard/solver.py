@@ -10,10 +10,16 @@ Phase 2 solves g(u) = 0 by inexact Newton-Krylov: each step solves
 Eisenstat-Walker forcing tolerance, and accepts u - t delta once ||g||_{H^1}
 falls by the factor 1 - 1e-4 t over at most eight halvings of t.  Where no
 trial is accepted (for p < 2, |u|^{p-2} blows up on the tail) it takes a
-descent step on 1/2 ||g||^2 instead.  Every Jacobian application and every
-trial residual costs one kernel product and counts as one iteration.  At
-convergence the iterate is an unconstrained critical point, so the
-Pohozaev and Nehari identities hold to tolerance.
+descent step on 1/2 ||g||^2 instead.  At convergence the iterate is an
+unconstrained critical point, so the Pohozaev and Nehari identities hold
+to tolerance.
+
+An iteration is one accepted step in phase 1 and one kernel product in
+phase 2.  A phase-1 iteration costs one product per backtracking trial
+plus one for the accepted, dilated iterate, so max_iter bounds products
+only in phase 2.  The criterion 8 continuations at N=4, alpha=1, M=2048,
+rmax 12 spend 391 products in 237 iterations at lambda=1 and 1145 in 539
+at lambda=0.
 
 A continuation driver walks an exponent toward its critical value by
 geometric gap halving, warm-starting each solve from the previous profile,
@@ -48,13 +54,8 @@ from .grid import RadialField, RadialGrid, h1_norm, h1_solve, sample
 from .riesz import kernel_for
 
 __all__ = [
-    "SolveOptions",
-    "SolveReport",
-    "default_initial_guess",
-    "ground_state",
-    "continue_exponent",
-    "detect_dichotomy",
-    "half_mass_radius",
+    "SolveOptions", "SolveReport", "default_initial_guess", "ground_state",
+    "continue_exponent", "detect_dichotomy", "half_mass_radius",
 ]
 
 CONTINUATION_TARGETS = ("p-upper", "p-lower", "q-upper", "double")
@@ -91,6 +92,8 @@ class SolveOptions:
         for name in ("tol_residual", "max_iter"):
             if isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be a number, not a boolean")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise TypeError(f"max_iter must be an integer, not {self.max_iter!r}")
         if not 0.0 < self.tol_residual < math.inf:
             raise InvalidParameterError("tol_residual must be positive and finite")
         if self.max_iter < 1:
@@ -198,11 +201,131 @@ def _jacobian(u, potential, grid, params: Params, kern):
     return apply
 
 
+@dataclass(frozen=True)
+class _Iterate:
+    """An evaluated iterate: values, integrals, potential, residual g and its H^1 norm."""
+
+    values: np.ndarray
+    breakdown: EnergyBreakdown
+    potential: np.ndarray
+    g: np.ndarray
+    residual: float
+
+
+class _CountedKernel:
+    """The kernel of one solve, counting the products it makes."""
+
+    def __init__(self, kern):
+        self.kern, self.products = kern, 0
+
+    def convolve(self, values: np.ndarray) -> np.ndarray:
+        self.products += 1
+        return self.kern.convolve(values)
+
+
+def _evaluate(values, grid, params: Params, kern) -> _Iterate:
+    """The iterate at these nodal values, for one kernel product."""
+    bd, potential = integrals(values, grid, params, kern)
+    return _Iterate(values, bd, potential, *residual_of(values, potential, grid, params))
+
+
+def _note(trace, phase, iteration, it: _Iterate, params: Params, kern) -> None:
+    if trace is not None:
+        J = energy_of(it.breakdown, params)
+        trace.append({"phase": phase, "iteration": iteration, "J": J,
+                      "residual": it.residual, "products": kern.products})
+
+
+def _descend(it: _Iterate, grid, params: Params, kern, opts: SolveOptions, trace):
+    """Phase 1, projected descent on the manifold, as (iterate, iterations);
+    stops inside the critical point's basin or at the resampling floor."""
+    switch = max(opts.tol_residual, 1e-4 * h1_norm(RadialField(grid, it.values)))
+    eta, iterations = STEP, 0
+    best_residual, since_progress = it.residual, 0
+    while iterations < opts.max_iter and it.residual > switch and since_progress <= 40:
+        iterations += 1
+        if not math.isfinite(it.residual):
+            raise NumericalFailureError(
+                "non-finite residual", {"iteration": iterations, "step": eta}
+            )
+        J_cur = energy_of(it.breakdown, params)
+        for _ in range(40):
+            trial = np.abs(it.values - eta * it.g)
+            if not np.all(np.isfinite(trial)):
+                raise NumericalFailureError(
+                    "non-finite iterate", {"iteration": iterations, "step": eta}
+                )
+            bd, _ = integrals(trial, grid, params, kern)
+            if bd.kinetic > 0 and bd.nonlocal_term > 0:
+                tau = project_tau(bd, params)
+                if fiber_energy_of(bd, tau, params) <= J_cur - 1e-4 * eta * it.residual**2:
+                    break
+            eta *= BACKTRACK
+        else:
+            break  # stagnated below representable step sizes
+        it = _evaluate(dilate(RadialField(grid, trial), tau).values, grid, params, kern)
+        eta = min(eta / math.sqrt(BACKTRACK), 64.0 * STEP)
+        if it.residual < 0.99 * best_residual:
+            best_residual, since_progress = it.residual, 0
+        else:
+            since_progress += 1
+        _note(trace, "projected", iterations, it, params, kern)
+    return it, iterations
+
+
+def _polish(it: _Iterate, iterations, grid, params: Params, kern, opts: SolveOptions, trace):
+    """Phase 2, inexact Newton on g(u) = 0, as (iterate, iterations); each
+    kernel product is one iteration."""
+    offset = kern.products - iterations  # iterations = kern.products - offset
+    limit = opts.max_iter + offset
+
+    def search(direction, tries, decrease):
+        """The first trial u - t direction, t = 1, 1/2, ..., whose residual is
+        below (1 - decrease t) times the current one; None if none is in budget."""
+        for k in range(min(tries, limit - kern.products)):  # one product per trial
+            t = 0.5**k
+            trial = it.values - t * direction
+            if not np.all(np.isfinite(trial)):
+                raise NumericalFailureError(
+                    "non-finite iterate", {"iteration": kern.products - offset + 1, "step": t}
+                )
+            step = _evaluate(trial, grid, params, kern)
+            if step.residual < (1.0 - decrease * t) * it.residual:
+                return step
+        return None
+
+    prev_residual = None
+    while kern.products < limit and it.residual > opts.tol_residual:
+        jac = _jacobian(it.values, it.potential, grid, params, kern)
+        room = limit - kern.products
+        step = None
+        if room >= 3:
+            # Eisenstat-Walker forcing, choice 2
+            forcing = NEWTON_FORCING_MAX
+            if prev_residual is not None:
+                ew = 0.9 * (it.residual / prev_residual) ** 2
+                forcing = min(forcing, max(NEWTON_FORCING_MIN, ew))
+            # one restart cycle; gmres applies the operator once more after
+            # it, and the budget keeps one trial residual after that
+            delta, _ = gmres(
+                LinearOperator((it.values.size,) * 2, matvec=jac, dtype=float),
+                it.g, rtol=forcing, atol=0.0, restart=min(KRYLOV_MAX, room - 2), maxiter=1,
+            )
+            if np.all(np.isfinite(delta)):
+                step = search(delta, NEWTON_HALVINGS + 1, NEWTON_DECREASE)
+        if step is None and kern.products < limit:
+            # descent on 1/2 ||g||^2 along its H^1 gradient, needed where
+            # |u|^{p-2} spoils the Newton step (p < 2)
+            step = search(jac(it.g), 50, 0.0)
+        if step is None:
+            break
+        prev_residual, it = it.residual, step
+        _note(trace, "polish", kern.products - offset, it, params, kern)
+    return it, kern.products - offset
+
+
 def ground_state(
-    params: Params,
-    init: RadialField,
-    opts: SolveOptions,
-    trace: list | None = None,
+    params: Params, init: RadialField, opts: SolveOptions, trace: list | None = None
 ) -> SolveReport:
     """Minimize J over the Pohozaev manifold starting from init.
 
@@ -217,150 +340,31 @@ def ground_state(
     DegenerateFieldError for a zero (or kinetically degenerate) initial
     field and NumericalFailureError on non-finite iterates.  When a list is
     passed as trace, one record per accepted step of either phase is
-    appended.
+    appended: its phase ("projected" or "polish"), iteration, J, residual,
+    and products, the kernel products this solve has made so far.
     """
     grid = init.grid
     if grid.dimension != params.N:
         raise InvalidParameterError("grid dimension does not match params.N")
     if not np.any(init.values != 0.0):
         raise DegenerateFieldError("initial field is identically zero")
-    kern = kernel_for(grid, params.alpha)
-
+    kern = _CountedKernel(kernel_for(grid, params.alpha))
     u = np.abs(init.values)
-    bd, potential = integrals(u, grid, params, kern)
+    bd, _ = integrals(u, grid, params, kern)
     if bd.kinetic <= 0 or bd.nonlocal_term <= 0:
         raise DegenerateFieldError("initial field has degenerate kinetic or nonlocal term")
-    tau = project_tau(bd, params)
-    u = dilate(RadialField(grid, u), tau).values
-    bd, potential = integrals(u, grid, params, kern)
-
-    first = RadialField(grid, u)
-
-    eta = STEP
-    iterations = 0
-    g_vals, residual = residual_of(u, potential, grid, params)
-
-    # Phase 1: projected descent on the manifold.  Stops once the iterate
-    # is well inside the basin of the critical point (or at tolerance),
-    # or when it stalls at the manifold's resampling floor.
-    switch = max(opts.tol_residual, 1e-4 * h1_norm(first))
-    best_residual = residual
-    since_progress = 0
-    while iterations < opts.max_iter and residual > switch:
-        if since_progress > 40:
-            break
-        iterations += 1
-        if not math.isfinite(residual):
-            raise NumericalFailureError(
-                "non-finite residual", {"iteration": iterations, "step": eta}
-            )
-        J_cur = energy_of(bd, params)
-        accepted = False
-        for _ in range(40):
-            trial = np.abs(u - eta * g_vals)
-            if not np.all(np.isfinite(trial)):
-                raise NumericalFailureError(
-                    "non-finite iterate", {"iteration": iterations, "step": eta}
-                )
-            bd_t, _ = integrals(trial, grid, params, kern)
-            if bd_t.kinetic > 0 and bd_t.nonlocal_term > 0:
-                tau = project_tau(bd_t, params)
-                J_new = fiber_energy_of(bd_t, tau, params)
-                if J_new <= J_cur - 1e-4 * eta * residual**2:
-                    u = dilate(RadialField(grid, trial), tau).values
-                    bd, potential = integrals(u, grid, params, kern)
-                    accepted = True
-                    break
-            eta *= BACKTRACK
-        if not accepted:
-            break  # stagnated below representable step sizes
-        eta = min(eta / math.sqrt(BACKTRACK), 64.0 * STEP)
-        g_vals, residual = residual_of(u, potential, grid, params)
-        if residual < 0.99 * best_residual:
-            best_residual = residual
-            since_progress = 0
-        else:
-            since_progress += 1
-        if trace is not None:
-            trace.append(
-                {"phase": "projected", "iteration": iterations,
-                 "J": energy_of(bd, params), "residual": residual}
-            )
-
-    # Phase 2: inexact Newton on g(u) = 0.  Every Jacobian application and
-    # every trial residual costs one kernel product and counts as one
-    # iteration, so max_iter bounds this phase's kernel products.
-    def search(direction, tries, decrease):
-        """The first trial u - t direction, t = 1, 1/2, ..., whose residual
-        is below (1 - decrease t) times the current one, as (values,
-        breakdown, potential, g, residual); None if none is within budget."""
-        nonlocal iterations
-        t = 1.0
-        for _ in range(tries):
-            if iterations >= opts.max_iter:
-                return None
-            iterations += 1
-            trial = u - t * direction
-            if not np.all(np.isfinite(trial)):
-                raise NumericalFailureError(
-                    "non-finite iterate", {"iteration": iterations, "step": t}
-                )
-            bd_t, pot_t = integrals(trial, grid, params, kern)
-            g_t, res_t = residual_of(trial, pot_t, grid, params)
-            if res_t < (1.0 - decrease * t) * residual:
-                return trial, bd_t, pot_t, g_t, res_t
-            t *= 0.5
-        return None
-
-    def counted(v):
-        """The Jacobian at the current iterate, one iteration per application."""
-        nonlocal iterations
-        iterations += 1
-        return jac(v)
-
-    if residual > opts.tol_residual and bd.kinetic > 0 and bd.nonlocal_term > 0:
-        prev_residual = None
-        while iterations < opts.max_iter and residual > opts.tol_residual:
-            jac = _jacobian(u, potential, grid, params, kern)
-            room = opts.max_iter - iterations
-            step = None
-            if room >= 3:
-                # Eisenstat-Walker forcing, choice 2
-                forcing = NEWTON_FORCING_MAX
-                if prev_residual is not None:
-                    ew = 0.9 * (residual / prev_residual) ** 2
-                    forcing = min(forcing, max(NEWTON_FORCING_MIN, ew))
-                # one restart cycle; gmres applies the operator once more after
-                # it, and the budget keeps one trial residual after that
-                delta, _ = gmres(
-                    LinearOperator((u.size, u.size), matvec=counted, dtype=float),
-                    g_vals, rtol=forcing, atol=0.0,
-                    restart=min(KRYLOV_MAX, room - 2), maxiter=1,
-                )
-                if np.all(np.isfinite(delta)):
-                    step = search(delta, NEWTON_HALVINGS + 1, NEWTON_DECREASE)
-            if step is None and iterations < opts.max_iter:
-                # descent on 1/2 ||g||^2 along its H^1 gradient, needed where
-                # |u|^{p-2} spoils the Newton step (p < 2)
-                step = search(counted(g_vals), 50, 0.0)
-            if step is None:
-                break
-            prev_residual = residual
-            u, bd, potential, g_vals, residual = step
-            if trace is not None:
-                trace.append(
-                    {"phase": "polish", "iteration": iterations,
-                     "J": energy_of(bd, params), "residual": residual}
-                )
-
-    profile = RadialField(grid, u)
-    P_val = pohozaev_of(bd, params)
-    if residual <= opts.tol_residual and abs(P_val) <= POHOZAEV_TOL * (bd.kinetic + bd.mass):
+    first = dilate(RadialField(grid, u), project_tau(bd, params))
+    it = _evaluate(first.values, grid, params, kern)
+    it, iterations = _descend(it, grid, params, kern, opts, trace)
+    if it.breakdown.kinetic > 0 and it.breakdown.nonlocal_term > 0:
+        it, iterations = _polish(it, iterations, grid, params, kern, opts, trace)
+    profile, bd = RadialField(grid, it.values), it.breakdown
+    at_tol = it.residual <= opts.tol_residual
+    if at_tol and abs(pohozaev_of(bd, params)) <= POHOZAEV_TOL * (bd.kinetic + bd.mass):
         status = "converged"
     else:
-        stop = "pohozaev_defect" if residual <= opts.tol_residual else "max_iter"
-        status = _dichotomy(first, profile) or stop
-    return SolveReport(profile, params, bd, residual, iterations, status)
+        status = _dichotomy(first, profile) or ("pohozaev_defect" if at_tol else "max_iter")
+    return SolveReport(profile, params, bd, it.residual, iterations, status)
 
 
 def _schedule(start: Params, target: str, steps: int) -> list[Params]:
@@ -400,11 +404,7 @@ def check_continuation(target: str, steps: int) -> None:
 
 
 def continue_exponent(
-    start: Params,
-    target: str,
-    steps: int,
-    opts: SolveOptions,
-    grid: RadialGrid,
+    start: Params, target: str, steps: int, opts: SolveOptions, grid: RadialGrid
 ) -> list[SolveReport]:
     """Solve along a geometric schedule of exponents approaching criticality.
 

@@ -1,4 +1,3 @@
-import csv
 import json
 import os
 import subprocess
@@ -64,8 +63,16 @@ class TestSolveCommand:
         assert r1 == r2
 
     def test_zero_init_invalid(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", solve={"init": "zero"})
-        assert main(["solve", "--config", str(cfg)]) == 3
+        # a zero start cannot solve, so every command refuses it up front
+        out_dir = tmp_path / "run"
+        cfg = write_config(
+            tmp_path / "cfg.json", out_dir,
+            solve={"init": "zero", "continuation": {"target": "q-upper", "steps": 1}},
+            sweep={"p": [2.0, 2.2], "q": [3.0], "parallelism": 1},
+        )
+        for command in ("solve", "continue", "sweep"):
+            assert main([command, "--config", str(cfg)]) == 3
+        assert not out_dir.exists()
 
     def test_oversized_kernel_refused(self, tmp_path, capsys, monkeypatch):
         import choquard.riesz as riesz
@@ -236,19 +243,6 @@ class TestSweepCommand:
         main(["sweep", "--config", str(self._sweep_config(tmp_path, out_s, 1))])
         main(["sweep", "--config", str(self._sweep_config(tmp_path, out_p, 2))])
         assert (out_s / "summary.csv").read_bytes() == (out_p / "summary.csv").read_bytes()
-
-    def test_cells_start_from_configured_init(self, tmp_path, capsys):
-        out_dir = tmp_path / "zero"
-        cfg = write_config(
-            tmp_path / "zero.json", out_dir,
-            grid={"rmax": 30.0, "M": 512, "scheme": "graded", "gamma": 2.0},
-            solve={"init": "zero"},
-            sweep={"p": [2.0, 2.2], "q": [3.0], "parallelism": 1},
-        )
-        assert main(["sweep", "--config", str(cfg)]) == 2
-        with open(out_dir / "summary.csv", newline="") as fh:
-            statuses = [row["status"] for row in csv.DictReader(fh)]
-        assert statuses == ["error: initial field is identically zero"] * 2
 
     @pytest.mark.parametrize("p_values", [[2.0], [2.0, 2.1, 2.2, 2.3]], ids=["1-cell", "4-cells"])
     def test_worker_count_bounded(self, tmp_path, capsys, monkeypatch, p_values):

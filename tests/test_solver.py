@@ -30,6 +30,24 @@ def _report_from_field(field, params):
     return SolveReport(field, params, breakdown(field, params), 1.0, 0, "max_iter")
 
 
+def _trace_counting_products(monkeypatch):
+    """A trace that pairs each record with the RieszKernel.convolve calls
+    made up to its append, and the running call count."""
+    calls = [0]
+    convolve = RieszKernel.convolve
+
+    def counted(self, values):
+        calls[0] += 1
+        return convolve(self, values)
+
+    class Trace(list):
+        def append(self, record):
+            super().append((record, calls[0]))
+
+    monkeypatch.setattr(RieszKernel, "convolve", counted)
+    return Trace(), calls
+
+
 class TestOptions:
     @pytest.mark.parametrize(
         "kwargs",
@@ -51,6 +69,14 @@ class TestOptions:
     def test_booleans_refused(self, kwargs):
         with pytest.raises(TypeError, match="boolean"):
             SolveOptions(**kwargs)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0])
+    def test_non_integral_max_iter_refused(self, max_iter):
+        with pytest.raises(TypeError, match="integer"):
+            SolveOptions(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        assert SolveOptions(max_iter=np.int64(3)).max_iter == 3
 
 
 class TestGroundState:
@@ -119,19 +145,12 @@ class TestNewtonPolish:
         start = Params(N=4, alpha=1.0, p=2.0, q=3.0)
         opts = SolveOptions(max_iter=600)
         warm = continue_exponent(start, "p-upper", 5, opts, grid)[-1].profile
-        calls = 0
-        convolve = RieszKernel.convolve
-
-        def counted(self, values):
-            nonlocal calls
-            calls += 1
-            return convolve(self, values)
-
-        monkeypatch.setattr(RieszKernel, "convolve", counted)
-        rep = ground_state(start.with_(p=2.4921875), warm, opts)
+        trace, calls = _trace_counting_products(monkeypatch)
+        rep = ground_state(start.with_(p=2.4921875), warm, opts, trace)
         assert rep.residual_norm <= opts.tol_residual
         # a descent-only polish on 1/2 ||g||^2 takes 780 kernel products here
-        assert calls <= 780 // 3
+        assert calls[0] <= 780 // 3
+        assert trace and all(record["products"] == n for record, n in trace)
 
     def test_descent_fallback_below_p_two(self, monkeypatch):
         # at p < 2 the Newton step fails where |u|^{p-2} blows up on the
@@ -162,9 +181,11 @@ class TestNewtonPolish:
         monkeypatch.setattr(solver, "_jacobian", tracked_jacobian)
         grid = build_grid(3, 30.0, 2048, scheme="graded", gamma=2.0)
         params = Params(N=3, alpha=2.0, p=1.799735, q=4.06809)
-        rep = ground_state(params, default_initial_guess(grid), SolveOptions(max_iter=2000))
+        trace, _ = _trace_counting_products(monkeypatch)
+        rep = ground_state(params, default_initial_guess(grid), SolveOptions(max_iter=2000), trace)
         assert fallbacks >= 1
         assert rep.status == "converged"
+        assert trace and all(record["products"] == n for record, n in trace)
         # reference level from a descent-only polish on 1/2 ||g||^2
         assert rep.J == pytest.approx(7.385169486194032, rel=1e-8)
 

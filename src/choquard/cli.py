@@ -108,6 +108,8 @@ def load_config(path: str | Path) -> RunConfig:
     params = Params.from_dict(doc["params"])
 
     gsec = require_keys(doc.get("grid", {}), {"rmax", "M", "scheme", "gamma"}, set(), "grid")
+    if gsec.get("scheme") == "exponential" and "gamma" in gsec:
+        raise ConfigError("grid.gamma grades the 'graded' scheme; 'exponential' takes none")
     grid_spec = {
         "rmax": parse_value(float, gsec.get("rmax", 30.0), "grid.rmax"),
         "M": parse_value(int, gsec.get("M", 1024), "grid.M"),

@@ -44,10 +44,9 @@ def require_keys(section, allowed: set[str] | None, required: set[str], where: s
 
     Raises ConfigError when section is not a JSON object or its keys are off.
     """
-    try:
-        section = dict(section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a JSON object") from exc
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    section = dict(section)
     unknown = set(section) - allowed if allowed is not None else set()
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}")
@@ -59,8 +58,10 @@ def require_keys(section, allowed: set[str] | None, required: set[str], where: s
 
 def parse_value(conv, value, where: str):
     """conv(value), with a failed conversion raised as ConfigError; int
-    refuses a number with a fractional part instead of truncating it, and
-    int and float refuse a boolean."""
+    refuses a number with a fractional part instead of truncating it, int
+    and float refuse a boolean, and list anything but a JSON array."""
+    if conv is list and not isinstance(value, list):
+        raise ConfigError(f"bad value for {where}: {value!r} is not a JSON array")
     if conv in (int, float) and isinstance(value, bool):
         raise ConfigError(f"bad value for {where}: {value!r} is a boolean, not a number")
     if conv is int and isinstance(value, float) and not value.is_integer():

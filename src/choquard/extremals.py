@@ -347,9 +347,10 @@ class MarginReport:
         }
 
 
-def threshold_value(case: str, params: Params, constants: SharpConstants) -> dict:
-    """The lemma threshold(s) applicable to the case, from constants only."""
+def threshold_value(case: str, params: Params) -> dict:
+    """The lemma threshold(s) applicable to the case, from the sharp constants."""
     n, al = params.N, params.alpha
+    constants = sharp_constants(n, al)
     upper = (
         (2.0 + al)
         / (2.0 * (n + al))
@@ -427,7 +428,7 @@ def threshold_check(
         )
     if not family_values:
         raise InvalidParameterError("need at least one family parameter")
-    thresholds = threshold_value(case, params, sharp_constants(params.N, params.alpha))
+    thresholds = threshold_value(case, params)
 
     families: dict[str, list[MarginRow]] = {}
     if case in ("lower-critical-p", "doubly-critical"):
@@ -508,7 +509,7 @@ def critical_parameter_search(
         )
 
     lo_n, hi_p = lo, hi
-    for _, (v, m) in enumerate(samples):
+    for v, m in samples:
         if m <= 0:
             lo_n = max(lo_n, v)
         else:

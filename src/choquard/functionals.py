@@ -9,6 +9,10 @@ The energy is J = kinetic/2 + mass/2 - mu nonlocal/(2p) - lambda local/q.
 Dilating u(x) -> u(x/tau) rescales the four integrals by exact powers of
 tau, so the fiber energy phi(tau) and the projection onto the zero set of
 the Pohozaev functional are algebra on breakdowns, free of interpolation.
+
+integrals, residual_of and dilate act on nodal arrays of one mesh, which
+integrals reads from its kernel; breakdown and reduced_energy take the
+RadialField a caller holds.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "breakdown",
     "energy_of",
     "pohozaev_of",
+    "pohozaev_gate",
     "nehari_of",
     "dilate",
     "scale_breakdown",
@@ -36,6 +41,8 @@ __all__ = [
     "project_tau",
     "reduced_energy",
 ]
+
+POHOZAEV_TOL = 1e-5  # |P| / (kinetic + mass) a converged solve may leave
 
 
 @dataclass(frozen=True)
@@ -124,16 +131,17 @@ class EnergyBreakdown:
 
 
 def integrals(
-    values: np.ndarray, grid: RadialGrid, params: Params, kern: RieszKernel
+    values: np.ndarray, params: Params, kern: RieszKernel
 ) -> tuple[EnergyBreakdown, np.ndarray]:
-    """The four integrals of the field with these nodal values, and the
-    potential I_a*|u|^p they share with the Euler-Lagrange right-hand side,
-    for one kernel product.
+    """The four integrals of the field with these nodal values on the
+    kernel's mesh, and the potential I_a*|u|^p they share with the
+    Euler-Lagrange right-hand side, for one kernel product.
     """
+    grid = kern.grid
     vw = grid.sphere_area * grid.volume_weights
     f = np.abs(values) ** params.p
     potential = kern.convolve(f)
-    a = grad_sq(RadialField(grid, values))
+    a = grad_sq(grid, values)
     b = float(vw @ values**2)
     c = float(vw @ (potential * f))
     d = float(vw @ np.abs(values) ** params.q)
@@ -151,8 +159,8 @@ def residual_of(
     """
     rhs = params.mu * potential * odd_power(values, params.p - 1.0)
     rhs += params.lam * odd_power(values, params.q - 1.0)
-    g = values - h1_solve(RadialField(grid, rhs)).values
-    return g, h1_norm(RadialField(grid, g))
+    g = values - h1_solve(grid, rhs)
+    return g, h1_norm(grid, g)
 
 
 def breakdown(u: RadialField, params: Params) -> EnergyBreakdown:
@@ -160,7 +168,7 @@ def breakdown(u: RadialField, params: Params) -> EnergyBreakdown:
     g = u.grid
     if g.dimension != params.N:
         raise InvalidParameterError("grid dimension does not match params.N")
-    return integrals(u.values, g, params, kernel_for(g, params.alpha))[0]
+    return integrals(u.values, params, kernel_for(g, params.alpha))[0]
 
 
 def energy_of(bd: EnergyBreakdown, params: Params) -> float:
@@ -179,6 +187,12 @@ def pohozaev_of(bd: EnergyBreakdown, params: Params) -> float:
     )
 
 
+def pohozaev_gate(bd: EnergyBreakdown, params: Params) -> tuple[float, float, bool]:
+    """|P|, its bound POHOZAEV_TOL (kinetic + mass), and whether it holds."""
+    defect, bound = abs(pohozaev_of(bd, params)), POHOZAEV_TOL * (bd.kinetic + bd.mass)
+    return defect, bound, defect <= bound
+
+
 def nehari_of(bd: EnergyBreakdown, params: Params) -> float:
     a, b, c, d = bd.astuple()
     return a + b - params.mu * c - params.lam * d
@@ -193,8 +207,8 @@ def odd_power(u: np.ndarray, exponent: float) -> np.ndarray:
     return np.sign(u) * np.abs(u) ** exponent
 
 
-def dilate(u: RadialField, tau: float) -> RadialField:
-    """Resample u(x/tau) on the same grid; tau = 0 gives the zero field.
+def dilate(grid: RadialGrid, values: np.ndarray, tau: float) -> np.ndarray:
+    """Nodal values of u(x/tau) on the same grid; tau = 0 gives zeros.
 
     Values needed left of the first node use the even extension; values
     beyond rmax are zero.
@@ -202,12 +216,11 @@ def dilate(u: RadialField, tau: float) -> RadialField:
     if tau < 0:
         raise InvalidParameterError(f"dilation parameter must be >= 0, got {tau}")
     if tau == 0.0:
-        return RadialField(u.grid, np.zeros_like(u.values))
+        return np.zeros_like(values)
     if tau == 1.0:
-        return u
-    r = u.grid.nodes
-    vals = np.interp(r / tau, r, u.values, left=u.values[0], right=0.0)
-    return RadialField(u.grid, vals)
+        return values
+    r = grid.nodes
+    return np.interp(r / tau, r, values, left=values[0], right=0.0)
 
 
 def scale_breakdown(bd: EnergyBreakdown, tau: float, params: Params) -> EnergyBreakdown:

@@ -8,6 +8,10 @@ linear in r are integrated without error on any mesh.  Beyond rmax every
 field is extended by zero (Dirichlet tail); at the origin profiles are
 extended evenly (flat first cell), matching the smoothness of radial
 solutions.
+
+The H^1 primitives take a mesh and nodal arrays, as the solver holds them;
+RadialField, a mesh with validated values, is where a field enters or
+leaves the package.
 """
 
 from __future__ import annotations
@@ -227,46 +231,43 @@ def lp_norm(f: RadialField, t: float) -> float:
     return float((g.sphere_area * (g.volume_weights @ np.abs(f.values) ** t)) ** (1.0 / t))
 
 
-def grad_sq(f: RadialField) -> float:
-    """Dirichlet integral of f over R^N.
+def grad_sq(grid: RadialGrid, values: np.ndarray) -> float:
+    """Dirichlet integral over R^N of the field with these nodal values.
 
     Radial derivatives are the per-cell difference quotients (centered at
     cell midpoints); the flat first cell contributes nothing and the ghost
-    cell [rmax, 2 rmax], on which f falls linearly to zero, supplies the
-    Dirichlet tail.  Vanishes only for the zero field.
+    cell [rmax, 2 rmax], on which the field falls linearly to zero,
+    supplies the Dirichlet tail.  Vanishes only for the zero field.
     """
-    g = f.grid
-    coef, tail = g._stiffness
-    d = np.diff(f.values)
-    return float(g.sphere_area * (coef @ d**2 + tail * f.values[-1] ** 2))
+    coef, tail = grid._stiffness
+    d = np.diff(values)
+    return float(grid.sphere_area * (coef @ d**2 + tail * values[-1] ** 2))
 
 
-def h1_inner(f: RadialField, g: RadialField) -> float:
-    """Discrete H^1 inner product int grad f . grad g + f g."""
-    gr = f.grid
-    coef, tail = gr._stiffness
-    df, dg = np.diff(f.values), np.diff(g.values)
-    kin = coef @ (df * dg) + tail * f.values[-1] * g.values[-1]
-    mass = gr.volume_weights @ (f.values * g.values)
-    return float(gr.sphere_area * (kin + mass))
+def h1_inner(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> float:
+    """Discrete H^1 inner product int grad f . grad g + f g of nodal values."""
+    coef, tail = grid._stiffness
+    df, dg = np.diff(f), np.diff(g)
+    kin = coef @ (df * dg) + tail * f[-1] * g[-1]
+    mass = grid.volume_weights @ (f * g)
+    return float(grid.sphere_area * (kin + mass))
 
 
-def h1_norm(f: RadialField) -> float:
-    return math.sqrt(max(h1_inner(f, f), 0.0))
+def h1_norm(grid: RadialGrid, values: np.ndarray) -> float:
+    return math.sqrt(max(h1_inner(grid, values, values), 0.0))
 
 
-def h1_solve(rhs: RadialField) -> RadialField:
-    """Solve (-Lap + 1) w = rhs on the truncated domain.
+def h1_solve(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:
+    """Nodal values of w solving (-Lap + 1) w = rhs on the truncated domain.
 
     The discrete operator is the symmetric positive definite matrix of the
     H^1 inner product (stiffness plus lumped mass); w falls to zero at the
     ghost node beyond rmax.  The banded Cholesky factor is cached on the
     grid, so repeated solves cost one back-substitution each.
     """
-    g = rhs.grid
-    b = g.volume_weights * rhs.values
-    w = cho_solve_banded((g._h1_banded_factor, False), b)
-    return RadialField(g, w)
+    if not np.all(np.isfinite(rhs)):
+        raise InvalidParameterError("field values must be finite")
+    return cho_solve_banded((grid._h1_banded_factor, False), grid.volume_weights * rhs)
 
 
 def write_profile_csv(f: RadialField, path: str | Path) -> None:

@@ -46,6 +46,7 @@ from .functionals import (
     integrals,
     nehari_of,
     odd_power,
+    pohozaev_gate,
     pohozaev_of,
     project_tau,
     residual_of,
@@ -70,8 +71,6 @@ NEWTON_FORCING_MIN = 1e-4
 KRYLOV_MAX = 60
 NEWTON_HALVINGS = 8
 NEWTON_DECREASE = 1e-4
-# A converged solve has |P| <= POHOZAEV_TOL (kinetic + mass).
-POHOZAEV_TOL = 1e-5
 
 # Dichotomy cutoffs: H^1 collapse below 1e-3 of the initial norm means
 # vanishing; a tenfold sup-norm rise with a threefold half-mass shrink
@@ -178,7 +177,7 @@ def default_initial_guess(grid: RadialGrid) -> RadialField:
     return sample(grid, lambda r: np.exp(-(r**2)))
 
 
-def _jacobian(u, potential, grid, params: Params, kern):
+def _jacobian(u, potential, params: Params, kern):
     """The action v -> (I - A^{-1} J''(u)) v of the derivative of g at u,
     with A = -Lap + 1.  It is self-adjoint in H^1, so applied to g it gives
     the H^1 gradient of 1/2 ||g||_{H^1}^2.
@@ -196,7 +195,7 @@ def _jacobian(u, potential, grid, params: Params, kern):
 
     def apply(v: np.ndarray) -> np.ndarray:
         dng = mu * p * kern.convolve(up1 * v) * up1 + local * v
-        return v - h1_solve(RadialField(grid, dng)).values
+        return v - h1_solve(kern.grid, dng)
 
     return apply
 
@@ -213,20 +212,20 @@ class _Iterate:
 
 
 class _CountedKernel:
-    """The kernel of one solve, counting the products it makes."""
+    """The kernel of one solve and its mesh, counting the products it makes."""
 
     def __init__(self, kern):
-        self.kern, self.products = kern, 0
+        self.kern, self.grid, self.products = kern, kern.grid, 0
 
     def convolve(self, values: np.ndarray) -> np.ndarray:
         self.products += 1
         return self.kern.convolve(values)
 
 
-def _evaluate(values, grid, params: Params, kern) -> _Iterate:
+def _evaluate(values, params: Params, kern) -> _Iterate:
     """The iterate at these nodal values, for one kernel product."""
-    bd, potential = integrals(values, grid, params, kern)
-    return _Iterate(values, bd, potential, *residual_of(values, potential, grid, params))
+    bd, potential = integrals(values, params, kern)
+    return _Iterate(values, bd, potential, *residual_of(values, potential, kern.grid, params))
 
 
 def _note(trace, phase, iteration, it: _Iterate, params: Params, kern) -> None:
@@ -236,10 +235,10 @@ def _note(trace, phase, iteration, it: _Iterate, params: Params, kern) -> None:
                       "residual": it.residual, "products": kern.products})
 
 
-def _descend(it: _Iterate, grid, params: Params, kern, opts: SolveOptions, trace):
+def _descend(it: _Iterate, params: Params, kern, opts: SolveOptions, trace):
     """Phase 1, projected descent on the manifold, as (iterate, iterations);
     stops inside the critical point's basin or at the resampling floor."""
-    switch = max(opts.tol_residual, 1e-4 * h1_norm(RadialField(grid, it.values)))
+    switch = max(opts.tol_residual, 1e-4 * h1_norm(kern.grid, it.values))
     eta, iterations = STEP, 0
     best_residual, since_progress = it.residual, 0
     while iterations < opts.max_iter and it.residual > switch and since_progress <= 40:
@@ -255,7 +254,7 @@ def _descend(it: _Iterate, grid, params: Params, kern, opts: SolveOptions, trace
                 raise NumericalFailureError(
                     "non-finite iterate", {"iteration": iterations, "step": eta}
                 )
-            bd, _ = integrals(trial, grid, params, kern)
+            bd, _ = integrals(trial, params, kern)
             if bd.kinetic > 0 and bd.nonlocal_term > 0:
                 tau = project_tau(bd, params)
                 if fiber_energy_of(bd, tau, params) <= J_cur - 1e-4 * eta * it.residual**2:
@@ -263,7 +262,7 @@ def _descend(it: _Iterate, grid, params: Params, kern, opts: SolveOptions, trace
             eta *= BACKTRACK
         else:
             break  # stagnated below representable step sizes
-        it = _evaluate(dilate(RadialField(grid, trial), tau).values, grid, params, kern)
+        it = _evaluate(dilate(kern.grid, trial, tau), params, kern)
         eta = min(eta / math.sqrt(BACKTRACK), 64.0 * STEP)
         if it.residual < 0.99 * best_residual:
             best_residual, since_progress = it.residual, 0
@@ -273,7 +272,7 @@ def _descend(it: _Iterate, grid, params: Params, kern, opts: SolveOptions, trace
     return it, iterations
 
 
-def _polish(it: _Iterate, iterations, grid, params: Params, kern, opts: SolveOptions, trace):
+def _polish(it: _Iterate, iterations, params: Params, kern, opts: SolveOptions, trace):
     """Phase 2, inexact Newton on g(u) = 0, as (iterate, iterations); each
     kernel product is one iteration."""
     offset = kern.products - iterations  # iterations = kern.products - offset
@@ -289,14 +288,14 @@ def _polish(it: _Iterate, iterations, grid, params: Params, kern, opts: SolveOpt
                 raise NumericalFailureError(
                     "non-finite iterate", {"iteration": kern.products - offset + 1, "step": t}
                 )
-            step = _evaluate(trial, grid, params, kern)
+            step = _evaluate(trial, params, kern)
             if step.residual < (1.0 - decrease * t) * it.residual:
                 return step
         return None
 
     prev_residual = None
     while kern.products < limit and it.residual > opts.tol_residual:
-        jac = _jacobian(it.values, it.potential, grid, params, kern)
+        jac = _jacobian(it.values, it.potential, params, kern)
         room = limit - kern.products
         step = None
         if room >= 3:
@@ -333,15 +332,15 @@ def ground_state(
     {P = 0}) until the residual is small, then polishes by inexact Newton
     on the residual g, whose zeros are the unconstrained critical points;
     this removes the interpolation-noise floor of per-step resampling.
-    The status is "converged" when the residual is at tolerance and |P| is
-    within POHOZAEV_TOL (kinetic + mass); otherwise the dichotomy rule's
-    "vanishing" or "concentrating", else "pohozaev_defect" for a residual
-    at tolerance and "max_iter" for one above it.  Raises
-    DegenerateFieldError for a zero (or kinetically degenerate) initial
-    field and NumericalFailureError on non-finite iterates.  When a list is
-    passed as trace, one record per accepted step of either phase is
-    appended: its phase ("projected" or "polish"), iteration, J, residual,
-    and products, the kernel products this solve has made so far.
+    The status is "converged" when the residual is at tolerance and
+    pohozaev_gate passes; otherwise the dichotomy rule's "vanishing" or
+    "concentrating", else "pohozaev_defect" for a residual at tolerance and
+    "max_iter" for one above it.  Raises DegenerateFieldError for a zero
+    (or kinetically degenerate) initial field and NumericalFailureError on
+    non-finite iterates.  When a list is passed as trace, one record per
+    accepted step of either phase is appended: its phase ("projected" or
+    "polish"), iteration, J, residual, and products, the kernel products
+    this solve has made so far.
     """
     grid = init.grid
     if grid.dimension != params.N:
@@ -350,20 +349,22 @@ def ground_state(
         raise DegenerateFieldError("initial field is identically zero")
     kern = _CountedKernel(kernel_for(grid, params.alpha))
     u = np.abs(init.values)
-    bd, _ = integrals(u, grid, params, kern)
+    bd, _ = integrals(u, params, kern)
     if bd.kinetic <= 0 or bd.nonlocal_term <= 0:
         raise DegenerateFieldError("initial field has degenerate kinetic or nonlocal term")
-    first = dilate(RadialField(grid, u), project_tau(bd, params))
-    it = _evaluate(first.values, grid, params, kern)
-    it, iterations = _descend(it, grid, params, kern, opts, trace)
+    first = dilate(kern.grid, u, project_tau(bd, params))
+    it = _evaluate(first, params, kern)
+    it, iterations = _descend(it, params, kern, opts, trace)
     if it.breakdown.kinetic > 0 and it.breakdown.nonlocal_term > 0:
-        it, iterations = _polish(it, iterations, grid, params, kern, opts, trace)
+        it, iterations = _polish(it, iterations, params, kern, opts, trace)
     profile, bd = RadialField(grid, it.values), it.breakdown
     at_tol = it.residual <= opts.tol_residual
-    if at_tol and abs(pohozaev_of(bd, params)) <= POHOZAEV_TOL * (bd.kinetic + bd.mass):
+    if at_tol and pohozaev_gate(bd, params)[2]:
         status = "converged"
     else:
-        status = _dichotomy(first, profile) or ("pohozaev_defect" if at_tol else "max_iter")
+        status = _dichotomy(RadialField(grid, first), profile) or (
+            "pohozaev_defect" if at_tol else "max_iter"
+        )
     return SolveReport(profile, params, bd, it.residual, iterations, status)
 
 
@@ -445,7 +446,7 @@ def _dichotomy(first: RadialField, last: RadialField) -> str | None:
     """The dichotomy rule: "vanishing" when the H^1 norm of last collapsed
     relative to first, "concentrating" when its sup norm blew up while its
     half-mass radius shrank, None otherwise."""
-    if h1_norm(last) < VANISHING_FACTOR * h1_norm(first):
+    if h1_norm(last.grid, last.values) < VANISHING_FACTOR * h1_norm(first.grid, first.values):
         return "vanishing"
     if (
         np.max(np.abs(last.values)) > CONCENTRATION_GROWTH * np.max(np.abs(first.values))

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .extremals import UPPER_CORNER, critical_case, sharp_constants, threshold_value
-from .functionals import EnergyBreakdown, Params, fiber_energy_of, pohozaev_of, project_tau
+from .extremals import UPPER_CORNER, critical_case, threshold_value
+from .functionals import EnergyBreakdown, Params, fiber_energy_of, pohozaev_gate, project_tau
 from .grid import RadialField, lp_norm
-from .solver import POHOZAEV_TOL, SolveReport
+from .solver import SolveReport
 
 __all__ = [
     "CheckResult",
@@ -72,14 +72,9 @@ class VerificationReport:
 
 
 def check_pohozaev_identity(bd: EnergyBreakdown, params: Params) -> CheckResult:
-    """|P| <= POHOZAEV_TOL (kinetic + mass) for this breakdown; holds at every
-    finite-energy solution."""
-    scale = bd.kinetic + bd.mass
-    p_val = pohozaev_of(bd, params)
-    if scale == 0.0:
-        return CheckResult("pohozaev_identity", 0.0, 0.0, True, "degenerate zero field")
-    bound = POHOZAEV_TOL * scale
-    return CheckResult("pohozaev_identity", abs(p_val), bound, abs(p_val) <= bound)
+    """pohozaev_gate for this breakdown; holds at every finite-energy solution."""
+    note = "degenerate zero field" if bd.kinetic + bd.mass == 0.0 else ""
+    return CheckResult("pohozaev_identity", *pohozaev_gate(bd, params), note)
 
 
 def check_mountain_pass_consistency(report: SolveReport) -> CheckResult:
@@ -139,7 +134,7 @@ def check_level_window(report: SolveReport) -> CheckResult:
         return CheckResult("level_window", report.J, math.inf, report.J > 0.0, "subcritical: J > 0 only")
     if case == UPPER_CORNER:
         case = "upper-critical-p"  # no lemma covers the corner; checked as upper-critical p
-    bound = min(threshold_value(case, params, sharp_constants(params.N, params.alpha)).values())
+    bound = min(threshold_value(case, params).values())
     ok = 0.0 < report.J <= bound + 1e-6
     return CheckResult("level_window", report.J, bound, ok, f"case {case}")
 

@@ -300,9 +300,7 @@ def test_criterion_8_continuation_and_dichotomy(n4_continuation, n4_continuation
     diffs = [abs(b - a) for a, b in zip(levels, levels[1:])]
     diffs_decreasing = all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
 
-    threshold = threshold_value(
-        "upper-critical-p", reports[-1].params, sharp_constants(4, 1.0)
-    )["upper_critical"]
+    threshold = threshold_value("upper-critical-p", reports[-1].params)["upper_critical"]
     window_ok = 0.0 < levels[-1] < threshold
 
     lam0_class = detect_dichotomy(n4_continuation_lam0.reports)

@@ -353,7 +353,20 @@ class TestMalformedInput:
             pytest.param("solve", {"solve": {"max_iter": True}}, [], id="max-iter-boolean"),
             pytest.param("solve", {"seed": False}, [], id="seed-boolean"),
             pytest.param("solve", 5, [], id="top-level-number"),
+            pytest.param(
+                "solve",
+                {"params": [["N", 3], ["alpha", 2.0], ["p", 2.0], ["q", 3.0], ["mu", 1.0],
+                            ["lambda", 1.0]],
+                 "grid": [["M", 64]]},
+                [], id="sections-as-pairs",
+            ),
+            pytest.param("solve", {"grid": [["M", 64]]}, [], id="grid-as-pairs"),
+            pytest.param(
+                "solve", {"grid": {"scheme": "exponential", "gamma": 2.0}}, [],
+                id="gamma-with-exponential",
+            ),
             pytest.param("sweep", {"sweep": {"p": ["x"]}}, [], id="sweep-axis-not-a-number"),
+            pytest.param("sweep", {"sweep": {"p": "23"}}, [], id="sweep-axis-a-string"),
             pytest.param(
                 "sweep", {"sweep": {"p": [2.0], "parallelism": 0}}, [], id="sweep-parallelism-zero"
             ),

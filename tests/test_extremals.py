@@ -61,14 +61,14 @@ class TestTalenti:
 
     def test_dirichlet_energy_scale_invariant(self):
         g = build_grid(3, 12000.0, 400_000, scheme="graded", gamma=3.0)
-        vals = [grad_sq(talenti(g, eps)) for eps in (0.5, 1.0, 2.0)]
+        vals = [grad_sq(g, talenti(g, eps).values) for eps in (0.5, 1.0, 2.0)]
         for v in vals[1:]:
             assert v == pytest.approx(vals[0], rel=1e-3)
 
     def test_sobolev_quotient(self):
         g = build_grid(3, 12000.0, 400_000, scheme="graded", gamma=3.0)
         u = talenti(g, 1.0)
-        q = grad_sq(u) / lp_norm(u, 6.0) ** 2
+        q = grad_sq(g, u.values) / lp_norm(u, 6.0) ** 2
         assert q == pytest.approx(gamma_sobolev_constant(3), rel=1e-3)
 
 
@@ -88,6 +88,12 @@ class TestCutoffBubble:
         with pytest.raises(InvalidParameterError):
             cutoff_bubble(g, 0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5])
+    def test_rejects_nonpositive_eps(self, eps):
+        g = build_grid(3, 4.0, 64)
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            cutoff_bubble(g, eps)
+
     @pytest.mark.parametrize("dimension", [3, 4])
     def test_kinetic_deficit_order(self, dimension):
         al = 2.0 if dimension == 3 else 1.0
@@ -100,7 +106,7 @@ class TestCutoffBubble:
         # N = 3 deficit is O(eps): quartering eps quarters the gap
         g = build_grid(3, 4.0, 100_000, scheme="graded")
         s32 = gamma_sobolev_constant(3) ** 1.5
-        deficits = [abs(grad_sq(cutoff_bubble(g, 2.0**-k)) - s32) for k in (4, 6, 8)]
+        deficits = [abs(grad_sq(g, cutoff_bubble(g, 2.0**-k).values) - s32) for k in (4, 6, 8)]
         assert deficits[0] > deficits[1] > deficits[2]
         assert 0.15 < deficits[1] / deficits[0] < 0.35
         assert 0.15 < deficits[2] / deficits[1] < 0.35
@@ -197,6 +203,11 @@ class TestAsymptoticSuite:
         with pytest.raises(InvalidParameterError):
             asymptotic_suite(3, 2.0, 2.0, 3.0, [0.5, 0.25, 0.125])
 
+    def test_too_few_resolved_rejected(self):
+        # at 16 nodes the exponential mesh resolves no eps at all
+        with pytest.raises(InvalidParameterError, match="resolved"):
+            asymptotic_suite(3, 2.0, 2.0, 3.0, [0.5, 0.25, 0.125, 0.0625], num_nodes=16)
+
     def test_under_resolved_flagged(self):
         # the exponential mesh's spacing is a fixed fraction of r + r_0, so
         # at M=512 it resolves eps down to about 3e-6 and flags only below
@@ -280,6 +291,11 @@ class TestThresholdCheck:
         with pytest.raises(CaseMismatchError):
             threshold_check(upper, "sideways", [0.25])
 
+    def test_empty_family_rejected(self):
+        upper = Params(N=3, alpha=2.0, p=5.0, q=3.0)
+        with pytest.raises(InvalidParameterError, match="family"):
+            threshold_check(upper, "upper-critical-p", [])
+
     def test_upper_corner_rejected_by_every_case(self):
         # verify's wider tolerance sees the same corner; see test_verify
         corner = Params(N=3, alpha=2.0, p=5.0, q=6.0)
@@ -347,6 +363,15 @@ class TestParameterSearch:
         params = Params(N=3, alpha=2.0, p=5.0, q=3.0)
         with pytest.raises(InvalidParameterError):
             critical_parameter_search(params, "sigma", "upper-critical-p", [0.25])
+
+    def test_margin_nonpositive_at_top_rejected(self):
+        # lambda_0 lies far above 2 at N=3, p=5 (see the test below)
+        params = Params(N=3, alpha=2.0, p=5.0, q=3.0)
+        eps = [2.0**-k for k in range(2, 7)]
+        with pytest.raises(InvalidParameterError, match="top of the bracket"):
+            critical_parameter_search(
+                params, "lambda", "upper-critical-p", eps, bracket=(1.0, 2.0), num_nodes=1024
+            )
 
     def test_n3_finds_finite_lambda0(self):
         params = Params(N=3, alpha=2.0, p=5.0, q=3.0)

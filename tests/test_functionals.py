@@ -24,6 +24,7 @@ from choquard.functionals import (
     fiber_energy_of,
     integrals,
     nehari_of,
+    pohozaev_gate,
     pohozaev_of,
     project_tau,
     residual_of,
@@ -84,6 +85,11 @@ class TestBreakdown:
         with pytest.raises(InvalidParameterError):
             EnergyBreakdown(-1.0, 0.0, 0.0, 0.0)
 
+    def test_grid_dimension_mismatch_rejected(self):
+        u = sample(build_grid(4, 15.0, 64), lambda r: np.exp(-(r**2)))
+        with pytest.raises(InvalidParameterError, match="grid dimension"):
+            breakdown(u, PEKAR)
+
     def test_pekar_breakdown_matches_oracle_profile(self, pekar_grid, pekar_report, pekar_oracle):
         u_oracle = RadialField(pekar_grid, pekar_oracle(pekar_grid.nodes))
         bd_o = breakdown(u_oracle, PEKAR)
@@ -108,6 +114,12 @@ class TestEnergyFormulas:
 
     def test_unit_breakdown_nehari(self):
         assert nehari_of(UNIT_BD, PEKAR) == 0.0
+
+    def test_pohozaev_gate(self):
+        assert pohozaev_gate(UNIT_BD, PEKAR) == (0.25, 2e-5, False)
+        # P = kinetic/2 - nonlocal at N = 3, alpha = 2, p = 2.5
+        on_manifold = EnergyBreakdown(2.0, 0.0, 1.0, 0.0)
+        assert pohozaev_gate(on_manifold, PEKAR.with_(p=2.5)) == (0.0, 2e-5, True)
 
     def test_zero_pohozaev_nehari(self, small_grid):
         z = sample(small_grid, np.zeros_like)
@@ -160,7 +172,7 @@ class TestYoungInterpolation:
 class TestGradientResidual:
     def test_zero(self, small_grid):
         z = np.zeros(small_grid.node_count)
-        _, potential = integrals(z, small_grid, PEKAR, kernel_for(small_grid, PEKAR.alpha))
+        _, potential = integrals(z, PEKAR, kernel_for(small_grid, PEKAR.alpha))
         g, _ = residual_of(z, potential, small_grid, PEKAR)
         assert np.all(g == 0.0)
 
@@ -169,9 +181,9 @@ class TestGradientResidual:
         u = random_positive_field(small_grid, rng)
         w = random_positive_field(small_grid, rng)
         kern = kernel_for(small_grid, params.alpha)
-        _, potential = integrals(u.values, small_grid, params, kern)
+        _, potential = integrals(u.values, params, kern)
         g, _ = residual_of(u.values, potential, small_grid, params)
-        predicted = h1_inner(RadialField(small_grid, g), w)
+        predicted = h1_inner(small_grid, g, w.values)
         errs = []
         for h in (1e-3, 5e-4, 2.5e-4):
             up = RadialField(small_grid, u.values + h * w.values)
@@ -189,12 +201,12 @@ class TestGradientResidual:
 
     def test_small_at_ground_state(self, pekar_report):
         u = pekar_report.profile
-        _, potential = integrals(u.values, u.grid, PEKAR, kernel_for(u.grid, PEKAR.alpha))
+        _, potential = integrals(u.values, PEKAR, kernel_for(u.grid, PEKAR.alpha))
         assert residual_of(u.values, potential, u.grid, PEKAR)[1] < 1e-6
 
     def test_norm_equals_solver_residual_exactly(self, pekar_report):
         u = pekar_report.profile
-        _, potential = integrals(u.values, u.grid, PEKAR, kernel_for(u.grid, PEKAR.alpha))
+        _, potential = integrals(u.values, PEKAR, kernel_for(u.grid, PEKAR.alpha))
         assert residual_of(u.values, potential, u.grid, PEKAR)[1] == pekar_report.residual_norm
 
 
@@ -216,23 +228,23 @@ class TestGroundStateIdentities:
 class TestDilate:
     def test_identity(self, small_grid, rng):
         u = random_positive_field(small_grid, rng)
-        assert np.array_equal(dilate(u, 1.0).values, u.values)
+        assert np.array_equal(dilate(small_grid, u.values, 1.0), u.values)
 
     def test_zero_dilation(self, small_grid, rng):
         u = random_positive_field(small_grid, rng)
-        assert np.all(dilate(u, 0.0).values == 0.0)
+        assert np.all(dilate(small_grid, u.values, 0.0) == 0.0)
 
     def test_negative_rejected(self, small_grid, rng):
         with pytest.raises(InvalidParameterError):
-            dilate(random_positive_field(small_grid, rng), -0.5)
+            dilate(small_grid, random_positive_field(small_grid, rng).values, -0.5)
 
     def test_mass_law(self):
         g = build_grid(3, 30.0, 2048, scheme="graded")
-        u = sample(g, lambda r: np.exp(-(r**2)))
+        u = np.exp(-(g.nodes**2))
         base = integrate(sample(g, lambda r: np.exp(-(r**2)) ** 2))
         for tau in (0.5, 2.0):
-            v = dilate(u, tau)
-            mass = integrate(RadialField(g, v.values**2))
+            v = dilate(g, u, tau)
+            mass = integrate(RadialField(g, v**2))
             assert mass == pytest.approx(tau**3 * base, rel=1e-4)
 
 
@@ -241,12 +253,17 @@ class TestFiberEnergy:
         u = random_positive_field(small_grid, rng)
         assert fiber_energy_of(breakdown(u, PEKAR), 0.0, PEKAR) == 0.0
 
+    def test_negative_dilation_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            scale_breakdown(UNIT_BD, -0.5, PEKAR)
+
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     def test_matches_resampled_energy(self, tau):
         g = build_grid(3, 40.0, 4096, scheme="graded")
         u = sample(g, lambda r: np.exp(-(r**2) / 2))
         assert fiber_energy_of(breakdown(u, PEKAR), tau, PEKAR) == pytest.approx(
-            energy_of(breakdown(dilate(u, tau), PEKAR), PEKAR), rel=2e-4, abs=1e-6
+            energy_of(breakdown(RadialField(g, dilate(g, u.values, tau)), PEKAR), PEKAR),
+            rel=2e-4, abs=1e-6,
         )
 
     def test_negative_for_large_tau(self, small_grid, rng):
@@ -299,7 +316,8 @@ class TestProjection:
         u = sample(g, lambda r: np.exp(-(r**2) / 2))
         tau0 = project_tau(breakdown(u, PEKAR), PEKAR)
         for s in (0.5, 2.0):
-            assert project_tau(breakdown(dilate(u, s), PEKAR), PEKAR) == pytest.approx(
+            dilated = RadialField(g, dilate(g, u.values, s))
+            assert project_tau(breakdown(dilated, PEKAR), PEKAR) == pytest.approx(
                 tau0 / s, rel=1e-3
             )
 
@@ -325,7 +343,8 @@ class TestReducedEnergy:
         u = sample(g, lambda r: np.exp(-(r**2) / 2))
         base = reduced_energy(u, PEKAR)
         for s in (0.5, 2.0):
-            assert reduced_energy(dilate(u, s), PEKAR) == pytest.approx(base, rel=1e-3)
+            dilated = RadialField(g, dilate(g, u.values, s))
+            assert reduced_energy(dilated, PEKAR) == pytest.approx(base, rel=1e-3)
 
     def test_nonnegative(self, small_grid, rng):
         for _ in range(20):

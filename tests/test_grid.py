@@ -8,6 +8,7 @@ import pytest
 from choquard import (
     InvalidParameterError,
     RadialField,
+    RadialGrid,
     build_grid,
     grad_sq,
     h1_inner,
@@ -21,9 +22,8 @@ from choquard import (
 from choquard.grid import sphere_area
 
 
-def l2(f, g):
-    gr = f.grid
-    return float(gr.sphere_area * (gr.volume_weights @ (f.values * g.values)))
+def l2(grid, f, g):
+    return float(grid.sphere_area * (grid.volume_weights @ (f * g)))
 
 
 class TestBuildGrid:
@@ -60,6 +60,22 @@ class TestBuildGrid:
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(InvalidParameterError):
             build_grid(**args)
+
+    @pytest.mark.parametrize(
+        "dimension, nodes",
+        [
+            pytest.param(2, [0.5, 1.0], id="dimension-2"),
+            pytest.param(3, [[0.5, 1.0]], id="nodes-2d"),
+            pytest.param(3, [], id="nodes-empty"),
+            pytest.param(3, [0.5, 0.5, 1.0], id="nodes-repeated"),
+            pytest.param(3, [1.0, 0.5], id="nodes-decreasing"),
+            pytest.param(3, [0.0, 1.0], id="node-at-origin"),
+            pytest.param(3, [-0.5, 1.0], id="node-negative"),
+        ],
+    )
+    def test_radial_grid_rejects_bad_nodes(self, dimension, nodes):
+        with pytest.raises(InvalidParameterError):
+            RadialGrid(dimension, np.array(nodes))
 
     def test_weights_positive_and_monotone_nodes(self):
         g = build_grid(5, 7.0, 200, scheme="graded", gamma=3.0)
@@ -143,31 +159,31 @@ class TestLpNorm:
 
         g = build_grid(3, 12000.0, 400_000, scheme="graded", gamma=3.0)
         u = sample(g, lambda r: (3.0**0.25) / np.sqrt(1.0 + r**2))
-        quotient = grad_sq(u) / lp_norm(u, 6.0) ** 2
+        quotient = grad_sq(g, u.values) / lp_norm(u, 6.0) ** 2
         assert quotient == pytest.approx(gamma_sobolev_constant(3), rel=1e-3)
 
 
 class TestGradSq:
     def test_zero_field(self):
         g = build_grid(3, 5.0, 64)
-        assert grad_sq(sample(g, np.zeros_like)) == 0.0
+        assert grad_sq(g, np.zeros(g.node_count)) == 0.0
 
     def test_positive_for_constant(self):
         # Dirichlet tail: even a constant field has positive energy
         g = build_grid(3, 5.0, 64)
-        assert grad_sq(sample(g, np.ones_like)) > 0
+        assert grad_sq(g, np.ones(g.node_count)) > 0
 
     def test_zero_only_for_zero(self, rng):
         g = build_grid(3, 5.0, 64)
         for _ in range(20):
             vals = rng.standard_normal(g.node_count)
             if np.any(vals != 0):
-                assert grad_sq(RadialField(g, vals)) > 0
+                assert grad_sq(g, vals) > 0
 
     def test_gaussian_value(self):
         # int |grad e^{-r^2}|^2 = 4 int r^2 e^{-2r^2} = 3 (pi/2)^{1/2} pi ... closed form
         g = build_grid(3, 12.0, 100_000, scheme="graded")
-        val = grad_sq(sample(g, lambda r: np.exp(-(r**2))))
+        val = grad_sq(g, np.exp(-(g.nodes**2)))
         exact = 4 * math.pi * 4 * (3.0 / 16.0) * math.sqrt(math.pi / 8.0)
         assert val == pytest.approx(exact, rel=1e-6)
 
@@ -175,10 +191,10 @@ class TestGradSq:
         from choquard import dilate
 
         g = build_grid(4, 20.0, 4096, scheme="graded")
-        u = sample(g, lambda r: np.exp(-(r**2) / 2.0))
-        base = grad_sq(u)
+        u = np.exp(-(g.nodes**2) / 2.0)
+        base = grad_sq(g, u)
         for tau in (0.7, 1.3):
-            assert grad_sq(dilate(u, tau)) == pytest.approx(
+            assert grad_sq(g, dilate(g, u, tau)) == pytest.approx(
                 tau ** (g.dimension - 2) * base, rel=2e-3
             )
 
@@ -186,8 +202,15 @@ class TestGradSq:
 class TestH1Solve:
     def test_zero(self):
         g = build_grid(3, 10.0, 128)
-        w = h1_solve(sample(g, np.zeros_like))
-        assert np.all(w.values == 0.0)
+        w = h1_solve(g, np.zeros(g.node_count))
+        assert np.all(w == 0.0)
+
+    def test_rejects_non_finite_rhs(self):
+        g = build_grid(3, 10.0, 128)
+        rhs = np.ones(g.node_count)
+        rhs[5] = np.inf
+        with pytest.raises(InvalidParameterError):
+            h1_solve(g, rhs)
 
     @pytest.mark.parametrize("dimension", [3, 5])
     def test_manufactured_solution(self, dimension):
@@ -195,29 +218,29 @@ class TestH1Solve:
         errs = []
         for m in (512, 1024, 2048):
             g = build_grid(n, 12.0, m, scheme="graded")
-            rhs = sample(g, lambda r: (1.0 + 2 * n - 4 * r**2) * np.exp(-(r**2)))
-            w = h1_solve(rhs)
-            errs.append(np.max(np.abs(w.values - np.exp(-(g.nodes**2)))))
+            r = g.nodes
+            w = h1_solve(g, (1.0 + 2 * n - 4 * r**2) * np.exp(-(r**2)))
+            errs.append(np.max(np.abs(w - np.exp(-(r**2)))))
         assert errs[0] < 5e-4
         assert errs[1] < 0.35 * errs[0]
         assert errs[2] < 0.35 * errs[1]
 
     def test_self_adjoint(self, rng):
         g = build_grid(3, 10.0, 512, scheme="graded")
-        a = RadialField(g, rng.standard_normal(g.node_count))
-        b = RadialField(g, rng.standard_normal(g.node_count))
-        assert abs(l2(h1_solve(a), b) - l2(a, h1_solve(b))) < 1e-10
+        a = rng.standard_normal(g.node_count)
+        b = rng.standard_normal(g.node_count)
+        assert abs(l2(g, h1_solve(g, a), b) - l2(g, a, h1_solve(g, b))) < 1e-10
 
     def test_positive_semidefinite_inverse(self, rng):
         g = build_grid(3, 10.0, 256)
         for _ in range(10):
-            f = RadialField(g, rng.standard_normal(g.node_count))
-            assert l2(h1_solve(f), f) >= 0
+            f = rng.standard_normal(g.node_count)
+            assert l2(g, h1_solve(g, f), f) >= 0
 
     def test_h1_inner_matches_grad_plus_mass(self, rng):
         g = build_grid(4, 8.0, 256)
-        f = RadialField(g, rng.standard_normal(g.node_count))
-        assert h1_inner(f, f) == pytest.approx(grad_sq(f) + l2(f, f), rel=1e-12)
+        f = rng.standard_normal(g.node_count)
+        assert h1_inner(g, f, f) == pytest.approx(grad_sq(g, f) + l2(g, f, f), rel=1e-12)
 
 
 class TestFieldIO:

@@ -8,6 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,17 @@ def test_unmutated_documents_parse(tmp_path):
     write_profile_csv(sample(grid, lambda r: np.exp(-(r**2))), tmp_path / "profile.csv")
     (tmp_path / "report.json").write_text(json.dumps(REPORT))
     assert load_report(tmp_path / "report.json").params == Params.from_dict(PARAMS)
+
+
+def test_gamma_only_with_graded_scheme(tmp_path):
+    path = tmp_path / "config.json"
+    exponential = {**CONFIG, "grid": {"rmax": 30.0, "M": 512, "scheme": "exponential"}}
+    path.write_text(json.dumps(exponential))
+    assert load_config(path).grid_spec["scheme"] == "exponential"
+    exponential["grid"]["gamma"] = 2.0
+    path.write_text(json.dumps(exponential))
+    with pytest.raises(ConfigError, match="gamma"):
+        load_config(path)
 
 
 @SETTINGS

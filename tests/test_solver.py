@@ -85,6 +85,29 @@ class TestGroundState:
         with pytest.raises(DegenerateFieldError):
             ground_state(PEKAR, zero, SolveOptions())
 
+    def test_grid_dimension_mismatch_rejected(self):
+        init = default_initial_guess(build_grid(4, 30.0, 64))
+        with pytest.raises(InvalidParameterError, match="grid dimension"):
+            ground_state(PEKAR, init, SolveOptions())
+
+    def test_wraps_no_field_per_kernel_product(self, monkeypatch, pekar_grid):
+        # the solve runs on nodal arrays; only the report's profile and, on
+        # a solve that did not converge, the projected start become fields
+        init = default_initial_guess(pekar_grid)
+        built = []
+        post_init = RadialField.__post_init__
+
+        def counting(field):
+            built.append(field)
+            post_init(field)
+
+        monkeypatch.setattr(RadialField, "__post_init__", counting)
+        for opts, status in ((SolveOptions(), "converged"), (SolveOptions(max_iter=3), "max_iter")):
+            built.clear()
+            report = ground_state(PEKAR, init, opts)
+            assert report.status == status
+            assert len(built) <= 2
+
     def test_converged_invariants(self, pekar_report):
         rep = pekar_report
         assert rep.status == "converged"

@@ -187,8 +187,9 @@ def build_grid(
     scheme : "graded" (nodes rmax*(i/M)^gamma, uniform for gamma = 1 and
         clustering toward the origin for gamma > 1) or "exponential" (nodes
         rmax*expm1(beta*i/M)/expm1(beta) with beta = EXPONENTIAL_BETA, whose
-        spacing near r is about beta/M (r + r_0) at every scale; gamma is
-        ignored).
+        spacing near r is about beta/M (r + r_0) at every scale; this
+        function ignores gamma there, and load_config refuses grid.gamma
+        with it).
     """
     if dimension < 3:
         raise InvalidParameterError(f"dimension must be >= 3, got {dimension}")

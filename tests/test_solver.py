@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from choquard import (
     DegenerateFieldError,
     InvalidParameterError,
+    NumericalFailureError,
     Params,
     RadialField,
     SolveOptions,
@@ -107,6 +109,19 @@ class TestGroundState:
             report = ground_state(PEKAR, init, opts)
             assert report.status == status
             assert len(built) <= 2
+
+    def test_stalled_when_line_search_runs_out(self, monkeypatch):
+        # a zero Newton direction and a zero descent direction leave every
+        # polish trial at the current residual, so the search runs out long
+        # before max_iter
+        monkeypatch.setattr(solver, "gmres", lambda op, b, **kwargs: (np.zeros_like(b), 0))
+        monkeypatch.setattr(solver, "_jacobian", lambda *args: np.zeros_like)
+        grid = build_grid(3, 30.0, 256, scheme="graded")
+        opts = SolveOptions(max_iter=2000)
+        rep = ground_state(PEKAR, default_initial_guess(grid), opts)
+        assert rep.residual_norm > opts.tol_residual
+        assert rep.iterations < opts.max_iter
+        assert rep.status == "stalled"
 
     def test_converged_invariants(self, pekar_report):
         rep = pekar_report
@@ -310,10 +325,96 @@ class TestContinuation:
             assert nxt <= cur + 1e-2 * cur
 
 
+class TestPredictorCorrector:
+    N4 = Params(N=4, alpha=1.0, p=2.0, q=3.0)
+
+    @pytest.fixture(scope="class")
+    def n4_grid_1024(self):
+        return build_grid(4, 12.0, 1024, scheme="graded")
+
+    def test_runs_through_a_traced_ground_state(self, monkeypatch):
+        # perfbench/spans.py rebinds ground_state to a wrapper of exactly this
+        # signature, so continuation may pass it no other argument
+        original = solver.ground_state
+        calls = []
+
+        def ground_state(params, init, opts, trace=None):
+            calls.append(params.p)
+            return original(params, init, opts, trace)
+
+        monkeypatch.setattr(solver, "ground_state", ground_state)
+        grid = build_grid(4, 12.0, 512, scheme="graded")
+        reports = continue_exponent(self.N4, "p-upper", 3, SolveOptions(max_iter=600), grid)
+        assert len(reports) == 4
+        assert calls[0] == 2.0
+
+    @pytest.mark.parametrize("miss", ["residual", "raise"])
+    def test_corrector_that_misses_falls_back_once(self, monkeypatch, n4_grid_1024, miss):
+        opts = SolveOptions(max_iter=600)
+        solve, original = solver._solve, solver.ground_state
+        missed, cold = [], []
+
+        def corrector_missing_once(params, init, opts, trace, descend):
+            report = solve(params, init, opts, trace, descend)
+            if not descend and not missed:
+                missed.append(params.p)
+                if miss == "raise":
+                    raise NumericalFailureError("non-finite iterate", {})
+                return dataclasses.replace(report, residual_norm=2.0 * opts.tol_residual)
+            return report
+
+        def ground_state(params, init, opts, trace=None):
+            cold.append(params.p)
+            return original(params, init, opts, trace)
+
+        monkeypatch.setattr(solver, "_solve", corrector_missing_once)
+        monkeypatch.setattr(solver, "ground_state", ground_state)
+        reports = continue_exponent(self.N4, "p-upper", 2, opts, n4_grid_1024)
+        assert missed == [2.25]
+        assert cold == [2.0, 2.25]  # the first step, then the one fallback
+        direct = original(reports[1].params, reports[0].profile, opts)
+        assert repr(reports[1].J) == repr(direct.J)
+        assert reports[1].iterations == direct.iterations
+        assert reports[1].status == direct.status
+        assert reports[1].profile.values.tobytes() == direct.profile.values.tobytes()
+
+    def test_chain_below_p_two_runs_two_phase_solves(self, monkeypatch):
+        # the gate: with p < 2 on either side a step is solved by
+        # ground_state from the previous profile, the same arithmetic and
+        # kernel products as a chain of plain two-phase solves
+        grid = build_grid(3, 30.0, 1024, scheme="graded")
+        start, opts = Params(N=3, alpha=2.0, p=2.2, q=2.8), SolveOptions(max_iter=600)
+        _, calls = _trace_counting_products(monkeypatch)
+        reports = continue_exponent(start, "p-lower", 2, opts, grid)
+        products = calls[0]
+        current = default_initial_guess(grid)
+        for rep, params in zip(reports, _schedule(start, "p-lower", 2)):
+            direct = ground_state(params, current, opts)
+            assert repr(rep.J) == repr(direct.J)
+            assert rep.iterations == direct.iterations
+            assert rep.profile.values.tobytes() == direct.profile.values.tobytes()
+            current = direct.profile
+        assert calls[0] == 2 * products
+
+    def test_near_critical_chain_needs_few_kernel_products(self, monkeypatch, n4_grid_1024):
+        # the two-phase chain makes 575 products here, most of them in
+        # projected descent at the last two steps
+        _, calls = _trace_counting_products(monkeypatch)
+        reports = continue_exponent(
+            self.N4.with_(lam=0.0), "p-upper", 4, SolveOptions(max_iter=600), n4_grid_1024
+        )
+        assert calls[0] <= 300
+        assert [r.status for r in reports] == ["converged"] + ["pohozaev_defect"] * 4
+
+
 class TestDetectDichotomy:
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):
             detect_dichotomy([])
+
+    def test_stalled_step_reads_max_iter(self, pekar_report):
+        stalled = dataclasses.replace(pekar_report, status="stalled")
+        assert detect_dichotomy([pekar_report, stalled]) == "max_iter"
 
     def test_constant_tail_converged(self, pekar_report):
         assert detect_dichotomy([pekar_report, pekar_report]) == "converged"

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -382,7 +383,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; each parse_args
+    call returns a fresh namespace."""
     parser = _ArgumentParser(
         prog="choquard",
         description="Ground states and variational checks for Choquard equations",

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalFailureError
 
 # 2^22 nodes is 32 MiB per array; larger meshes are refused before allocating
 MAX_GRID_NODES = 1 << 22
@@ -258,24 +258,38 @@ def h1_norm(grid: RadialGrid, values: np.ndarray) -> float:
     return math.sqrt(max(h1_inner(grid, values, values), 0.0))
 
 
+_pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
+
+
 def h1_solve(grid: RadialGrid, rhs: np.ndarray) -> np.ndarray:
     """Nodal values of w solving (-Lap + 1) w = rhs on the truncated domain.
 
     The discrete operator is the symmetric positive definite matrix of the
     H^1 inner product (stiffness plus lumped mass); w falls to zero at the
     ghost node beyond rmax.  The banded Cholesky factor is cached on the
-    grid, so repeated solves cost one back-substitution each.
+    grid, so repeated solves cost one LAPACK back-substitution (pbtrs) each.
     """
     if not np.all(np.isfinite(rhs)):
         raise InvalidParameterError("field values must be finite")
-    return cho_solve_banded((grid._h1_banded_factor, False), grid.volume_weights * rhs)
+    w, info = _pbtrs(grid._h1_banded_factor, grid.volume_weights * rhs, lower=0, overwrite_b=1)
+    if info != 0:
+        raise NumericalFailureError(f"banded H^1 solve failed: LAPACK pbtrs info={info}")
+    return w
+
+
+@lru_cache(maxsize=4)
+def _row_heads(nodes: bytes) -> tuple[str, ...]:
+    """The text of each profile CSV row up to its u value, for one mesh;
+    sweep cells build equal meshes apart, so the key is the node bytes."""
+    return tuple(map("\r\n{!r},".format, np.frombuffer(nodes).tolist()))
 
 
 def write_profile_csv(f: RadialField, path: str | Path) -> None:
     """Serialize a field as CSV with header r,u at full double precision."""
-    rows = map("{!r},{!r}\r\n".format, f.grid.nodes.tolist(), f.values.tolist())
+    heads = _row_heads(f.grid.nodes.tobytes())
+    text = "".join(map(str.__add__, heads, map(repr, f.values.tolist())))
     with open(path, "w", newline="") as fh:
-        fh.write("r,u\r\n" + "".join(rows))
+        fh.write("r,u" + text + "\r\n")
 
 
 def read_profile_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -553,11 +553,14 @@ class RieszKernel:
     grid: RadialGrid
     reduced_kernel: NewtonianOperator | HodlrOperator
 
+    @cached_property
+    def normalization(self) -> float:
+        """A_alpha(N), the factor of the Riesz potential."""
+        return riesz_normalization(self.dimension, self.alpha)
+
     def convolve(self, values: np.ndarray) -> np.ndarray:
         """(I_alpha * f) sampled on the nodes, including the normalization."""
-        g = self.grid
-        norm = riesz_normalization(self.dimension, self.alpha)
-        return norm * self.reduced_kernel.apply(values * g.volume_weights)
+        return self.normalization * self.reduced_kernel.apply(values * self.grid.volume_weights)
 
     def bilinear(self, u: np.ndarray, v: np.ndarray) -> float:
         """Double integral of u(x) v(y) |x-y|^{alpha-N} (no normalization)."""

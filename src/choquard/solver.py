@@ -6,7 +6,7 @@ H^1 representative of J'(u), replaces u by |u|, and dilates back onto
 {P = 0}.  The reduced energy is monotone under Armijo backtracking.
 
 Phase 2 solves g(u) = 0 by inexact Newton-Krylov: each step solves
-(I - A^{-1} J''(u)) delta = g with A = -Lap + 1 by GMRES to an
+(I - A^{-1} J''(u)) delta = g with A = -Lap + 1 by one GMRES cycle to an
 Eisenstat-Walker forcing tolerance, and accepts u - t delta once ||g||_{H^1}
 falls by the factor 1 - 1e-4 t over at most eight halvings of t.  Where no
 trial is accepted (for p < 2, |u|^{p-2} blows up on the tail) it takes a
@@ -15,9 +15,10 @@ unconstrained critical point, so the Pohozaev and Nehari identities hold
 to tolerance.
 
 An iteration is one accepted step in phase 1 and one kernel product in
-phase 2.  A phase-1 iteration costs one product per backtracking trial
-plus one for the accepted, dilated iterate, so max_iter bounds products
-only in phase 2.
+phase 2, where a Newton step costs its Krylov applies plus its trials.
+A phase-1 iteration costs one product per backtracking trial plus one
+for the accepted, dilated iterate, so max_iter bounds products only in
+phase 2.
 
 A continuation driver walks an exponent toward its critical value by
 geometric gap halving, and a detector classifies the resulting sequences
@@ -30,8 +31,8 @@ linear extrapolation in the step index needs no ratio of gaps.  Newton is
 not trusted below p = 2, where |u|^{p-2} blows up on the tail, so a step
 with p < 2 at it or at its predecessor runs both phases from the previous
 profile, as does a corrected step that ends above tol_residual.  The
-criterion 8 continuations at N=4, alpha=1, M=2048, rmax 12 spend 282
-kernel products at lambda=1 and 264 at lambda=0, against 391 and 1145
+criterion 8 continuations at N=4, alpha=1, M=2048, rmax 12 spend 246
+kernel products at lambda=1 and 231 at lambda=0, against 370 and 1124
 when every step runs both phases.
 """
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DegenerateFieldError, InvalidParameterError, NumericalFailureError
 from .functionals import (
@@ -208,6 +209,76 @@ def _jacobian(u, potential, params: Params, kern):
     return apply
 
 
+_lartg = get_lapack_funcs("lartg", dtype=np.float64)
+
+
+def gmres(matvec, b: np.ndarray, rtol: float, restart: int) -> tuple[np.ndarray, int]:
+    """One restart cycle of GMRES for A x = b from x = 0, as (x, 0), where
+    matvec applies A (Saad & Schultz 1986).
+
+    The operations and their order are those of scipy.sparse.linalg.gmres
+    (scipy 1.17) with atol=0, maxiter=1 and no preconditioner, so x agrees
+    with it to the bit: Arnoldi by modified Gram-Schmidt, LAPACK Givens
+    rotations, and a stop once the rotated residual is at most rtol ||b||
+    or the Krylov space breaks down.  scipy then applies A once more to
+    form b - A x for its info flag; this cycle does not, so matvec runs
+    once per Krylov vector.
+    """
+    n = len(b)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return np.zeros(n), 0
+    ptol = bnrm2 * min(1.0, float(rtol) * float(bnrm2) / bnrm2)
+    eps = np.finfo(float).eps
+    restart = min(restart, n)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))  # row col is column col of the Hessenberg matrix
+    givens = np.zeros((restart, 2))
+    v[0] = b
+    tmp = np.linalg.norm(v[0])
+    v[0] *= 1 / tmp
+    S = np.zeros(restart + 1)
+    S[0] = tmp
+    for col in range(restart):
+        w = matvec(v[col])
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):
+            tmp = np.dot(v[k], w)
+            h[col, k] = tmp
+            w -= tmp * v[k]
+        h1 = np.linalg.norm(w)
+        h[col, col + 1] = h1
+        v[col + 1] = w
+        breakdown = h1 <= eps * h0
+        if breakdown:
+            h[col, col + 1] = 0
+        else:
+            v[col + 1] *= 1 / h1
+        for k in range(col):
+            c, s = givens[k]
+            n0, n1 = h[col, k], h[col, k + 1]
+            h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+        c, s, mag = _lartg(h[col, col], h[col, col + 1])
+        givens[col] = c, s
+        h[col, col], h[col, col + 1] = mag, 0
+        tmp = -s * S[col]
+        S[col], S[col + 1] = c * S[col], tmp
+        if np.abs(tmp) <= ptol or breakdown:
+            break
+    if h[col, col] == 0:
+        S[col] = 0
+    y = S[: col + 1].copy()
+    for k in range(col, 0, -1):
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            y[:k] -= y[k] * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    x = np.zeros(n)
+    x += y @ v[: col + 1]
+    return x, 0
+
+
 @dataclass(frozen=True)
 class _Iterate:
     """An evaluated iterate: values, integrals, potential, residual g and its H^1 norm."""
@@ -306,18 +377,15 @@ def _polish(it: _Iterate, iterations, params: Params, kern, opts: SolveOptions, 
         jac = _jacobian(it.values, it.potential, params, kern)
         room = limit - kern.products
         step = None
-        if room >= 3:
+        if room >= 2:
             # Eisenstat-Walker forcing, choice 2
             forcing = NEWTON_FORCING_MAX
             if prev_residual is not None:
                 ew = 0.9 * (it.residual / prev_residual) ** 2
                 forcing = min(forcing, max(NEWTON_FORCING_MIN, ew))
-            # one restart cycle; gmres applies the operator once more after
-            # it, and the budget keeps one trial residual after that
-            delta, _ = gmres(
-                LinearOperator((it.values.size,) * 2, matvec=jac, dtype=float),
-                it.g, rtol=forcing, atol=0.0, restart=min(KRYLOV_MAX, room - 2), maxiter=1,
-            )
+            # one restart cycle, one product per Krylov vector; the budget
+            # keeps one trial residual after it
+            delta, _ = gmres(jac, it.g, rtol=forcing, restart=min(KRYLOV_MAX, room - 1))
             if np.all(np.isfinite(delta)):
                 step = search(delta, NEWTON_HALVINGS + 1, NEWTON_DECREASE)
         if step is None and kern.products < limit:

@@ -457,15 +457,42 @@ class TestMalformedInput:
         assert "'uniform'" in error["error"]
 
 
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter on this checkout of the package."""
+    src = str(Path(choquard.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs a tenth of a second or more to import, and no
     # command needs it
-    src = str(Path(choquard.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     code = "import sys, choquard.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
-        timeout=120,
-    )
-    assert out.stdout.strip() == "False"
+    assert _fresh_python("-c", code).stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # the Newton polish runs its GMRES cycle in the package
+    code = "import sys, choquard.cli; print(any(m.startswith('scipy.sparse') for m in sys.modules))"
+    assert _fresh_python("-c", code).stdout.strip() == "False"
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys):
+    # the parser is built once per process: a refused command line and the
+    # options of earlier calls leave nothing behind for later ones
+    assert main(["constants", "--N", "three", "--alpha", "2.0"]) == 3
+    assert "ConfigError" in capsys.readouterr().err
+    calls = [["--N", "3", "--alpha", "2.0", "--out", "{}/a.json"], ["--N", "4", "--alpha", "1.0"]]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    for flags in calls:
+        assert main(["constants", *(f.format(here) for f in flags)]) == 0
+        out = _fresh_python("-m", "choquard.cli", "constants", *(f.format(fresh) for f in flags))
+        assert out.returncode == 0
+        assert capsys.readouterr().out == out.stdout
+    assert [f.name for f in here.iterdir()] == ["a.json"]
+    assert (here / "a.json").read_bytes() == (fresh / "a.json").read_bytes()

@@ -266,6 +266,21 @@ class TestFieldIO:
         write_profile_csv(f, path)
         assert path.read_bytes() == expected.getvalue().encode()
 
+    def test_profile_bytes_across_meshes(self, tmp_path, rng):
+        # more distinct meshes than the writer caches, written in alternation;
+        # the values cross repr's switches of notation and its signed zero
+        meshes = [build_grid(3, 5.0 + k, 64, scheme=s) for k in range(3)
+                  for s in ("graded", "exponential")]
+        special = [-0.0, 0.0, 5e-324, 1e-5, 1e-4, 1e16, 1e15, -1e16, 0.1]
+        path = tmp_path / "profile.csv"
+        for g in meshes * 2:
+            values = rng.standard_normal(g.node_count)
+            values[: len(special)] = special
+            write_profile_csv(RadialField(g, values), path)
+            nodes, values = g.nodes.tolist(), values.tolist()
+            oracle = "r,u\r\n" + "".join(map("{!r},{!r}\r\n".format, nodes, values))
+            assert path.read_bytes() == oracle.encode()
+
     def test_field_validation(self):
         g = build_grid(3, 5.0, 64)
         with pytest.raises(InvalidParameterError):

@@ -48,6 +48,27 @@ class TestNormalization:
         for alpha in np.arange(0.5, dimension, 0.5):
             assert riesz_normalization(dimension, float(alpha)) > 0
 
+    @pytest.mark.parametrize("dimension, alpha", [(3, 2.0), (4, 1.0), (3, 0.5)])
+    def test_computed_once_per_kernel(self, monkeypatch, dimension, alpha):
+        calls = []
+        normalization = riesz.riesz_normalization
+
+        def counted(*args):
+            calls.append(args)
+            return normalization(*args)
+
+        monkeypatch.setattr(riesz, "riesz_normalization", counted)
+        grid = build_grid(dimension, 9.0, 96)
+        kern = kernel_for(grid, alpha)
+        values = np.exp(-grid.nodes**2)
+        products = [kern.convolve(values) for _ in range(3)]
+        assert len(calls) <= 1
+        assert kern.normalization == normalization(dimension, alpha)
+        expected = normalization(dimension, alpha) * kern.reduced_kernel.apply(
+            values * grid.volume_weights
+        )
+        assert all(np.array_equal(product, expected) for product in products)
+
     @pytest.mark.parametrize("alpha", [-1.0, 0.0, 3.0, 5.0])
     def test_range_check(self, alpha):
         with pytest.raises(InvalidParameterError):

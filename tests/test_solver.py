@@ -407,6 +407,161 @@ class TestPredictorCorrector:
         assert [r.status for r in reports] == ["converged"] + ["pohozaev_defect"] * 4
 
 
+def _counting(matvec):
+    """matvec and a list holding the number of its calls."""
+    calls = [0]
+
+    def counted(v):
+        calls[0] += 1
+        return matvec(v)
+
+    return counted, calls
+
+
+def _gmres_against_scipy(matvec, b, rtol, restart):
+    """solver.gmres and scipy's one-cycle gmres on the same system, as
+    (package x, its matvec calls, scipy x, its matvec calls)."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    ours, our_calls = _counting(matvec)
+    x, info = solver.gmres(ours, b, rtol=rtol, restart=restart)
+    assert info == 0
+    theirs, their_calls = _counting(matvec)
+    op = LinearOperator((b.size, b.size), matvec=theirs, dtype=float)
+    y, _ = gmres(op, b, rtol=rtol, atol=0.0, restart=restart, maxiter=1)
+    return x, our_calls[0], y, their_calls[0]
+
+
+class TestGmres:
+    """The package's restart cycle against scipy's, to the bit; it applies
+    the operator once per Krylov vector and scipy once more."""
+
+    def test_nonsymmetric_matrix_to_tolerance(self, rng):
+        n = 80
+        a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
+        b = rng.standard_normal(n)
+        x, ours, y, theirs = _gmres_against_scipy(lambda v: a @ v, b, 1e-8, 60)
+        assert np.array_equal(x, y)
+        assert 1 <= ours < 60 and theirs == ours + 1
+        assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("rtol", [0.1, 1e-4])
+    def test_jacobian_at_pekar_iterate(self, rtol):
+        from choquard.riesz import kernel_for
+
+        grid = build_grid(3, 30.0, 256, scheme="graded")
+        rep = ground_state(PEKAR, default_initial_guess(grid), SolveOptions(max_iter=5))
+        kern = solver._CountedKernel(kernel_for(grid, PEKAR.alpha))
+        it = solver._evaluate(rep.profile.values, PEKAR, kern)
+        jac = solver._jacobian(it.values, it.potential, PEKAR, kern)
+        x, ours, y, theirs = _gmres_against_scipy(jac, it.g, rtol, solver.KRYLOV_MAX)
+        assert np.array_equal(x, y)
+        assert 1 <= ours < solver.KRYLOV_MAX and theirs == ours + 1
+
+    def test_cycle_that_hits_restart(self, rng):
+        n = 80
+        a = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
+        b = rng.standard_normal(n)
+        x, ours, y, theirs = _gmres_against_scipy(lambda v: a @ v, b, 1e-14, 5)
+        assert np.array_equal(x, y)
+        assert ours == 5 and theirs == 6
+
+    def test_exact_breakdown(self):
+        # I + e1 e0^T + e2 e1^T maps e0 -> e0 + e1 -> ..., so from b = 2 e0
+        # the Krylov space is span(e0, e1, e2), computed without rounding
+        n = 50
+        a = np.eye(n) + np.eye(n, k=-1) * (np.arange(n) < 2)
+        b = 2.0 * np.eye(n)[0]
+        x, ours, y, theirs = _gmres_against_scipy(lambda v: a @ v, b, 1e-30, 20)
+        assert np.array_equal(x, y)
+        assert ours == 3 and theirs == 4
+        assert np.linalg.norm(a @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_zero_right_hand_side(self):
+        x, ours, y, theirs = _gmres_against_scipy(lambda v: 2.0 * v, np.zeros(16), 0.1, 10)
+        assert np.array_equal(x, y) and not np.any(x)
+        assert ours == theirs == 0
+
+
+class TestPolishBudget:
+    def test_iterations_and_products_within_max_iter(self, monkeypatch):
+        grid = build_grid(3, 30.0, 256, scheme="graded")
+        products = [0]
+        kernel_for, polish = solver.kernel_for, solver._polish
+
+        def counted_kernel_for(grid, alpha):
+            # count on the instance, beneath the solver's own counter
+            kern = kernel_for(grid, alpha)
+            convolve = type(kern).convolve
+
+            def counted(values):
+                products[0] += 1
+                return convolve(kern, values)
+
+            object.__setattr__(kern, "convolve", counted)
+            return kern
+
+        phases = []
+
+        def counted_polish(it, iterations, *args):
+            start = products[0]
+            result = polish(it, iterations, *args)
+            phases.append((iterations, products[0] - start))
+            return result
+
+        monkeypatch.setattr(solver, "kernel_for", counted_kernel_for)
+        monkeypatch.setattr(solver, "_polish", counted_polish)
+        spent_all = 0
+        try:
+            for max_iter in range(1, 41):
+                phases.clear()
+                rep = ground_state(PEKAR, default_initial_guess(grid), SolveOptions(max_iter=max_iter))
+                assert rep.iterations <= max_iter
+                (descent, polish_products), = phases
+                assert polish_products <= max_iter - descent
+                spent_all += 0 < polish_products == max_iter - descent
+        finally:
+            kern = kernel_for(grid, PEKAR.alpha)
+            object.__delattr__(kern, "convolve")
+        assert spent_all  # some polish ran to the edge of its budget
+
+    def test_newton_step_costs_its_krylov_applies_and_trials(self, monkeypatch):
+        # products per polish record = Krylov applies + trial residuals
+        counts = {"krylov": 0, "trials": 0}
+        gmres, evaluate = solver.gmres, solver._evaluate
+
+        def counted_gmres(matvec, b, **kwargs):
+            def counted(v):
+                counts["krylov"] += 1
+                return matvec(v)
+
+            return gmres(counted, b, **kwargs)
+
+        def counted_evaluate(*args):
+            counts["trials"] += 1
+            return evaluate(*args)
+
+        class Trace(list):
+            def append(self, record):
+                super().append({**record, **counts})
+
+        monkeypatch.setattr(solver, "gmres", counted_gmres)
+        monkeypatch.setattr(solver, "_evaluate", counted_evaluate)
+        grid = build_grid(3, 30.0, 256, scheme="graded")
+        opts = SolveOptions(tol_residual=1e-10)
+        records = Trace()
+        rep = ground_state(PEKAR, default_initial_guess(grid), opts, records)
+        assert rep.residual_norm <= opts.tol_residual
+        first = next(i for i, r in enumerate(records) if r["phase"] == "polish")
+        assert first > 0 and len(records) - first >= 3
+        for before, after in zip(records[first - 1:], records[first:]):
+            krylov = after["krylov"] - before["krylov"]
+            trials = after["trials"] - before["trials"]
+            assert krylov >= 1 and trials >= 1
+            assert after["products"] - before["products"] == krylov + trials
+        assert rep.iterations == records[-1]["products"] - records[first - 1]["products"] + first
+
+
 class TestDetectDichotomy:
     def test_empty_rejected(self):
         with pytest.raises(InvalidParameterError):

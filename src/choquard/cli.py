@@ -30,12 +30,7 @@ from .errors import (
     parse_value,
     require_keys,
 )
-from .extremals import (
-    THRESHOLD_CASES,
-    asymptotic_suite,
-    sharp_constants,
-    threshold_check,
-)
+from .extremals import CASE_TOL, asymptotic_suite, critical_case, sharp_constants, threshold_check
 from .functionals import Params, breakdown
 from .grid import (
     RadialField,
@@ -50,7 +45,6 @@ from .solver import (
     CONTINUATION_TARGETS,
     SolveOptions,
     SolveReport,
-    check_continuation,
     continue_exponent,
     default_initial_guess,
     detect_dichotomy,
@@ -80,7 +74,6 @@ class RunConfig:
     grid_spec: dict
     solve: SolveOptions
     output_dir: Path
-    continuation: tuple[str, int] | None = None  # (target, steps); only cmd_continue reads it
     sweep: object = None  # the raw "sweep" section; only cmd_sweep reads it
 
     def build_grid(self) -> RadialGrid:
@@ -118,24 +111,9 @@ def load_config(path: str | Path) -> RunConfig:
         "gamma": parse_value(float, gsec.get("gamma", 2.0), "grid.gamma"),
     }
 
-    ssec = require_keys(
-        doc.get("solve", {}),
-        {"tol_residual", "max_iter", "continuation", "init"},
-        set(),
-        "solve",
-    )
+    ssec = require_keys(doc.get("solve", {}), {"tol_residual", "max_iter"}, set(), "solve")
     if "max_iter" in ssec:
         ssec["max_iter"] = parse_value(int, ssec["max_iter"], "solve.max_iter")
-    init = ssec.pop("init", "gaussian")
-    if init != "gaussian":
-        raise ConfigError(f"solve.init must be 'gaussian', got {init!r}")
-    continuation = ssec.pop("continuation", None)
-    if continuation is not None:
-        cont = require_keys(
-            continuation, {"target", "steps"}, {"target", "steps"}, "solve.continuation"
-        )
-        continuation = (cont["target"], parse_value(int, cont["steps"], "continuation.steps"))
-        check_continuation(*continuation)
     try:
         opts = SolveOptions(**ssec)
     except TypeError as exc:
@@ -148,7 +126,6 @@ def load_config(path: str | Path) -> RunConfig:
         grid_spec=grid_spec,
         solve=opts,
         output_dir=output_dir,
-        continuation=continuation,
         sweep=doc.get("sweep"),
     )
 
@@ -212,13 +189,8 @@ def cmd_solve(args) -> int:
 
 def cmd_continue(args) -> int:
     config = load_config(args.config)
-    target, steps = config.continuation or (None, None)
-    target = args.target or target
-    steps = args.steps if args.steps is not None else steps
-    if target is None or steps is None:
-        raise ConfigError("continuation target/steps missing (flag or config)")
     grid = config.build_grid()
-    reports = continue_exponent(config.params, target, steps, config.solve, grid)
+    reports = continue_exponent(config.params, args.target, args.steps, config.solve, grid)
     verdict = detect_dichotomy(reports)
 
     out = config.output_dir
@@ -243,7 +215,8 @@ def cmd_continue(args) -> int:
 def cmd_threshold(args) -> int:
     config = load_config(args.config)
     family = _float_list(args.family, "--family")
-    report = threshold_check(config.params, args.case, family, num_nodes=args.nodes)
+    case = critical_case(config.params, CASE_TOL)
+    report = threshold_check(config.params, case, family, num_nodes=args.nodes)
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _dump_json(report.to_dict(), config.output_dir / "margins.json", sys.stdout)
     return EXIT_OK
@@ -405,13 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("continue", help="subcritical continuation run")
     p.add_argument("--config", required=True)
-    p.add_argument("--target", choices=CONTINUATION_TARGETS, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--target", choices=CONTINUATION_TARGETS, required=True)
+    p.add_argument("--steps", type=int, required=True)
     p.set_defaults(fn=cmd_continue)
 
-    p = sub.add_parser("threshold", help="energy-threshold margins for a critical case")
+    p = sub.add_parser("threshold", help="energy-threshold margins at the config's critical case")
     p.add_argument("--config", required=True)
-    p.add_argument("--case", choices=list(THRESHOLD_CASES), required=True)
     p.add_argument("--family", required=True, help="comma-separated eps or delta values")
     p.add_argument("--nodes", type=int, default=2048)
     p.set_defaults(fn=cmd_threshold)

@@ -30,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     NonMonotoneMarginError,
 )
-from .functionals import Params, breakdown, reduced_energy
+from .functionals import Params, breakdown, fiber_energy_of, project_tau
 from .grid import RadialField, RadialGrid, build_grid
 from .riesz import hls_constant, riesz_normalization
 
@@ -130,13 +130,20 @@ def cutoff_bubble(grid: RadialGrid, epsilon: float) -> RadialField:
     return RadialField(grid, _cutoff_values(r) * _talenti_values(r, epsilon, grid.dimension))
 
 
-def _lower_critical_breakdown(grid: RadialGrid, alpha: float):
-    """Integrals of V = (1+r^2)^{-N/2} at the lower-critical p, and that p."""
+def _pekar_family(grid: RadialGrid, deltas: list[float], alpha: float) -> list[RadialField]:
+    """v_delta for each delta, all normalized by one breakdown of V."""
+    if not all(delta > 0 for delta in deltas):
+        raise InvalidParameterError("delta must be positive")
     n = grid.dimension
     p_low = (n + alpha) / n
     q_mid = 0.5 * (2.0 + 2.0 * n / (n - 2.0))  # any admissible q; unused
     v = RadialField(grid, (1.0 + grid.nodes**2) ** (-n / 2.0))
-    return breakdown(v, Params(N=n, alpha=alpha, p=p_low, q=q_mid)), p_low
+    bd = breakdown(v, Params(N=n, alpha=alpha, p=p_low, q=q_mid))
+    amp = bd.nonlocal_term ** (-1.0 / (2.0 * p_low))
+    return [
+        RadialField(grid, delta ** (n / 2.0) * amp * (1.0 + (delta * grid.nodes) ** 2) ** (-n / 2))
+        for delta in deltas
+    ]
 
 
 def pekar_extremal(grid: RadialGrid, delta: float, alpha: float) -> RadialField:
@@ -146,13 +153,7 @@ def pekar_extremal(grid: RadialGrid, delta: float, alpha: float) -> RadialField:
     integral of V at the lower-critical exponent equals one.  Sampled from
     the closed form, not resampled.
     """
-    if not delta > 0:
-        raise InvalidParameterError("delta must be positive")
-    bd, p_low = _lower_critical_breakdown(grid, alpha)
-    amp = bd.nonlocal_term ** (-1.0 / (2.0 * p_low))
-    n = grid.dimension
-    vals = delta ** (n / 2.0) * amp * (1.0 + (delta * grid.nodes) ** 2) ** (-n / 2.0)
-    return RadialField(grid, vals)
+    return _pekar_family(grid, [delta], alpha)[0]
 
 
 @lru_cache(maxsize=None)
@@ -332,9 +333,7 @@ class MarginReport:
         return {
             "case": self.case,
             "params": self.params.to_dict(),
-            "thresholds": {
-                k: (v if math.isfinite(v) else None) for k, v in self.thresholds.items()
-            },
+            "thresholds": self.thresholds,
             "families": {
                 name: [
                     {"parameter": row.family_parameter, "sup": row.sup_level, "margin": row.margin}
@@ -348,30 +347,35 @@ class MarginReport:
 
 
 def threshold_value(case: str, params: Params) -> dict:
-    """The lemma threshold(s) applicable to the case, from the sharp constants."""
-    n, al = params.N, params.alpha
+    """The lemma threshold(s) applicable to the case, from the sharp constants;
+    the Sobolev one is infinite at lambda = 0, and any other that leaves the
+    float range raises InvalidParameterError."""
+    n, al, mu, lam = params.N, params.alpha, params.mu, params.lam
     constants = sharp_constants(n, al)
-    upper = (
-        (2.0 + al)
-        / (2.0 * (n + al))
-        * params.mu ** (-(n - 2.0) / (2.0 + al))
-        * constants.S_alpha ** ((n + al) / (2.0 + al))
-    )
-    lower = (
-        al / (2.0 * (n + al)) * params.mu ** (-n / al) * constants.S_1 ** ((n + al) / al)
-    )
-    sobolev = (
-        constants.S ** (n / 2.0) * params.lam ** (-(n - 2.0) / 2.0) / n
-        if params.lam > 0
-        else math.inf
-    )
-    if case == "upper-critical-p":
-        return {"upper_critical": upper}
-    if case == "lower-critical-p":
-        return {"lower_critical": lower}
-    if case == "critical-q":
-        return {"sobolev": sobolev}
-    return {"lower_critical": lower, "sobolev": sobolev}
+    values = {}
+    try:
+        if case == "upper-critical-p":
+            values["upper_critical"] = (
+                (2.0 + al)
+                / (2.0 * (n + al))
+                * mu ** (-(n - 2.0) / (2.0 + al))
+                * constants.S_alpha ** ((n + al) / (2.0 + al))
+            )
+        if case in ("lower-critical-p", "doubly-critical"):
+            values["lower_critical"] = (
+                al / (2.0 * (n + al)) * mu ** (-n / al) * constants.S_1 ** ((n + al) / al)
+            )
+        if case in ("critical-q", "doubly-critical"):
+            values["sobolev"] = (
+                constants.S ** (n / 2.0) * lam ** (-(n - 2.0) / 2.0) / n if lam > 0 else math.inf
+            )
+        if any(not math.isfinite(v) for k, v in values.items() if k != "sobolev" or lam > 0):
+            raise OverflowError
+    except OverflowError:
+        raise InvalidParameterError(
+            f"the {case} threshold leaves the float range at mu={mu}, lambda={lam}"
+        ) from None
+    return values
 
 
 def critical_case(params: Params, tol: float) -> str | None:
@@ -406,6 +410,58 @@ def classify_margins(margins: list[float], threshold: float) -> dict:
     }
 
 
+def _family_integrals(params: Params, case: str, family_values: list, num_nodes: int) -> dict:
+    """Step one of threshold_check: the breakdowns of each family's test
+    functions, keyed by family.  They read neither mu nor lambda, so one
+    call serves every knob value of critical_parameter_search."""
+    actual = critical_case(params, CASE_TOL)
+    if case != actual or actual not in THRESHOLD_CASES:
+        at = f"case {actual!r}, not {case!r}" if actual in THRESHOLD_CASES else "no threshold case"
+        raise CaseMismatchError(
+            f"params (p={params.p}, q={params.q}) sit at {at}: p_lower = {params.p_lower}, "
+            f"p_upper = {params.p_upper}, q_upper = {params.q_upper}, and no lemma covers "
+            "p_upper with q_upper"
+        )
+    if not family_values:
+        raise InvalidParameterError("need at least one family parameter")
+    if params.lam == 0.0 and case in ("critical-q", "doubly-critical"):
+        raise InvalidParameterError(
+            f"case {case!r} needs lambda > 0: the Sobolev threshold does not exist at 0"
+        )
+
+    families = {}
+    if case in ("lower-critical-p", "doubly-critical"):
+        grid = build_grid(params.N, 30.0, num_nodes, scheme="graded")
+        pekar = _pekar_family(grid, family_values, params.alpha)
+        families["pekar"] = [breakdown(v, params) for v in pekar]
+    if case != "lower-critical-p":
+        grid = build_grid(params.N, 4.0, num_nodes, scheme="graded")
+        families["bubble"] = [breakdown(cutoff_bubble(grid, e), params) for e in family_values]
+    return families
+
+
+def _margin_report(params: Params, case: str, family_values: list, families: dict) -> MarginReport:
+    """Step two: the margins of the families' fiber maxima at params' mu and lambda."""
+    thresholds = threshold_value(case, params)
+    bubble_key = "upper_critical" if case == "upper-critical-p" else "sobolev"
+    rows = {}
+    for name, bds in families.items():
+        threshold = thresholds["lower_critical" if name == "pekar" else bubble_key]
+        sups = [fiber_energy_of(bd, project_tau(bd, params), params) for bd in bds]
+        rows[name] = [MarginRow(v, sup, threshold - sup) for v, sup in zip(family_values, sups)]
+
+    top = max(thresholds.values())
+    verdicts = [classify_margins([row.margin for row in fam], top) for fam in rows.values()]
+    return MarginReport(
+        case=case,
+        params=params,
+        thresholds=thresholds,
+        families=rows,
+        inconclusive=any(v["inconclusive"] for v in verdicts),
+        positive_margin_found=all(v["positive_margin_found"] for v in verdicts),
+    )
+
+
 def threshold_check(
     params: Params,
     case: str,
@@ -417,48 +473,10 @@ def threshold_check(
     For each family parameter the fiber maximum sup_tau J(test_tau) is
     computed through the Pohozaev projection, and the margin is threshold
     minus sup.  A positive margin certifies the strict level inequality of
-    the corresponding existence lemma.
+    the corresponding existence lemma.  case must be critical_case(params, CASE_TOL).
     """
-    if case not in THRESHOLD_CASES:
-        raise CaseMismatchError(f"unknown threshold case {case!r}")
-    if critical_case(params, CASE_TOL) != case:
-        raise CaseMismatchError(
-            f"params (p={params.p}, q={params.q}) do not sit at the critical "
-            f"exponents of case {case!r}"
-        )
-    if not family_values:
-        raise InvalidParameterError("need at least one family parameter")
-    thresholds = threshold_value(case, params)
-
-    families: dict[str, list[MarginRow]] = {}
-    if case in ("lower-critical-p", "doubly-critical"):
-        grid = build_grid(params.N, 30.0, num_nodes, scheme="graded")
-        rows = []
-        for delta in family_values:
-            sup = reduced_energy(pekar_extremal(grid, delta, params.alpha), params)
-            rows.append(MarginRow(delta, sup, thresholds["lower_critical"] - sup))
-        families["pekar"] = rows
-    if case != "lower-critical-p":
-        key = "upper_critical" if case == "upper-critical-p" else "sobolev"
-        grid = build_grid(params.N, 4.0, num_nodes, scheme="graded")
-        rows = []
-        for eps in family_values:
-            sup = reduced_energy(cutoff_bubble(grid, eps), params)
-            rows.append(MarginRow(eps, sup, thresholds[key] - sup))
-        families["bubble"] = rows
-
-    verdicts = {
-        name: classify_margins([row.margin for row in rows], max(thresholds.values()))
-        for name, rows in families.items()
-    }
-    return MarginReport(
-        case=case,
-        params=params,
-        thresholds=thresholds,
-        families=families,
-        inconclusive=any(v["inconclusive"] for v in verdicts.values()),
-        positive_margin_found=all(v["positive_margin_found"] for v in verdicts.values()),
-    )
+    families = _family_integrals(params, case, family_values, num_nodes)
+    return _margin_report(params, case, family_values, families)
 
 
 @dataclass(frozen=True)
@@ -482,7 +500,8 @@ def critical_parameter_search(
     The margin is first sampled across the bracket; failure of monotonicity
     raises NonMonotoneMarginError with the samples attached.  A positive
     margin already at the lower end returns a degenerate bracket at zero
-    (the inequality holds for every positive knob value we can test).
+    (the inequality holds for every positive knob value we can test).  The
+    family integrals are taken once; a knob value costs only its margins.
     """
     if knob not in ("lambda", "mu"):
         raise InvalidParameterError(f"search knob must be 'lambda' or 'mu', got {knob!r}")
@@ -490,9 +509,11 @@ def critical_parameter_search(
     if not (0 < lo < hi):
         raise InvalidParameterError(f"invalid bracket {bracket}")
 
+    field = "lam" if knob == "lambda" else "mu"
+    families = _family_integrals(params.with_(**{field: lo}), case, family_values, num_nodes)
+
     def margin_at(value: float) -> float:
-        trial = params.with_(lam=value) if knob == "lambda" else params.with_(mu=value)
-        report = threshold_check(trial, case, family_values, num_nodes)
+        report = _margin_report(params.with_(**{field: value}), case, family_values, families)
         return max(row.margin for rows in report.families.values() for row in rows)
 
     sample_points = np.geomspace(lo, hi, SEARCH_SAMPLES)

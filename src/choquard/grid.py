@@ -293,6 +293,11 @@ def write_profile_csv(f: RadialField, path: str | Path) -> None:
 
 
 def read_profile_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a profile CSV back as (r, u) arrays."""
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return rows[:, 0], rows[:, 1]
+    """Read a profile CSV back as (r, u) arrays; ValueError unless its
+    header is r,u and every row holds two values."""
+    with open(path) as fh:
+        if fh.readline() != "r,u\n":
+            raise ValueError("profile header is not 'r,u'")
+    # loadtxt reads a path faster than an open file; the unpacking counts columns
+    r, u = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, unpack=True)
+    return r, u

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import choquard
-from choquard.cli import main
+from choquard.cli import load_config, main
+from choquard.extremals import CASE_TOL, critical_case, threshold_check
+from choquard.grid import write_profile_csv
 
 
 def write_config(path: Path, out_dir: Path, **overrides) -> Path:
@@ -63,15 +66,18 @@ class TestSolveCommand:
         assert r1 == r2
 
     def test_zero_init_invalid(self, tmp_path, capsys):
-        # a zero start cannot solve, so every command refuses it up front
+        # every command starts from the Gaussian, and the config has no key
+        # to ask for another start, so every command refuses one up front
         out_dir = tmp_path / "run"
         cfg = write_config(
             tmp_path / "cfg.json", out_dir,
-            solve={"init": "zero", "continuation": {"target": "q-upper", "steps": 1}},
+            solve={"init": "zero"},
             sweep={"p": [2.0, 2.2], "q": [3.0], "parallelism": 1},
         )
+        flags = {"continue": ["--target", "q-upper", "--steps", "1"]}
         for command in ("solve", "continue", "sweep"):
-            assert main([command, "--config", str(cfg)]) == 3
+            assert main([command, "--config", str(cfg), *flags.get(command, [])]) == 3
+            assert json.loads(capsys.readouterr().err)["kind"] == "ConfigError"
         assert not out_dir.exists()
 
     def test_oversized_kernel_refused(self, tmp_path, capsys, monkeypatch):
@@ -118,6 +124,33 @@ class TestVerifyCommand:
         doc = json.loads((out_dir / "verification.json").read_text())
         assert doc["overall"] is True
 
+    @staticmethod
+    def _verify_stored(tmp_path, **params) -> int:
+        """verify on a report.json that names u.csv, at the given params."""
+        params = {"N": 3, "alpha": 2.0, "p": 2.0, "q": 3.0, "mu": 1.0, "lambda": 1.0, **params}
+        report = {"params": params, "profile_csv_path": "u.csv", "residual_norm": 1e-7,
+                  "iterations": 1, "status": "converged"}
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        return main(["verify", "--report", str(tmp_path / "report.json")])
+
+    @pytest.mark.parametrize("header", ["x,y,z", "r,u"])
+    def test_three_column_profile_refused(self, tmp_path, capsys, header):
+        grid = choquard.build_grid(3, 15.0, 64)
+        rows = "".join(f"{r!r},{math.exp(-r * r)!r},0.0\r\n" for r in grid.nodes.tolist())
+        (tmp_path / "u.csv").write_text(f"{header}\r\n{rows}", newline="")
+        assert self._verify_stored(tmp_path) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "ConfigError"
+
+    def test_threshold_overflow_refused(self, tmp_path, capsys):
+        # the level window's lower-critical threshold holds mu^{-N/alpha} = 1e9000
+        grid = choquard.build_grid(3, 15.0, 64)
+        write_profile_csv(choquard.sample(grid, lambda r: np.exp(-(r**2))), tmp_path / "u.csv")
+        assert self._verify_stored(tmp_path, alpha=0.1, p=3.1 / 3.0, mu=1e-300) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "InvalidParameterError"
+        assert "threshold leaves the float range" in error["error"]
+        assert not (tmp_path / "verification.json").exists()
+
 
 class TestContinueCommand:
     def test_zero_steps_single_row(self, tmp_path, capsys):
@@ -131,12 +164,8 @@ class TestContinueCommand:
 
     def test_two_step_levels(self, tmp_path, capsys):
         out_dir = tmp_path / "cont2"
-        cfg = write_config(
-            tmp_path / "cfg.json", out_dir,
-            solve={"tol_residual": 1e-6, "max_iter": 500,
-                   "continuation": {"target": "q-upper", "steps": 2}},
-        )
-        code = main(["continue", "--config", str(cfg)])
+        cfg = write_config(tmp_path / "cfg.json", out_dir)
+        code = main(["continue", "--config", str(cfg), "--target", "q-upper", "--steps", "2"])
         assert code == 0
         rows = (out_dir / "levels.csv").read_text().splitlines()
         assert len(rows) == 4
@@ -147,24 +176,41 @@ class TestContinueCommand:
     def test_unfinished_continuation_not_converged(self, tmp_path, capsys):
         out_dir = tmp_path / "cont"
         cfg = write_config(
-            tmp_path / "cfg.json", out_dir, grid={"M": 256},
-            solve={"max_iter": 2, "continuation": {"target": "p-upper", "steps": 2}},
+            tmp_path / "cfg.json", out_dir, grid={"M": 256}, solve={"max_iter": 2}
         )
-        assert main(["continue", "--config", str(cfg)]) == 2
+        argv = ["continue", "--config", str(cfg), "--target", "p-upper", "--steps", "2"]
+        assert main(argv) == 2
         summary = json.loads((out_dir / "continue_summary.json").read_text())
         assert summary["classification"] == "max_iter"
         rows = (out_dir / "levels.csv").read_text().splitlines()
         assert all(row.endswith(",max_iter") for row in rows[1:])
 
     @pytest.mark.parametrize(
-        "section",
-        [{"target": "sideways", "steps": 3}, {"target": "p-upper", "steps": -1}],
+        "flags, kind",
+        [
+            (["--target", "sideways", "--steps", "3"], "ConfigError"),
+            (["--target", "p-upper", "--steps", "-1"], "InvalidParameterError"),
+        ],
         ids=["unknown-target", "negative-steps"],
     )
-    def test_bad_continuation_section_rejected(self, tmp_path, capsys, section):
-        cfg = write_config(tmp_path / "cfg.json", tmp_path / "x", solve={"continuation": section})
-        assert main(["continue", "--config", str(cfg)]) == 3
-        assert json.loads(capsys.readouterr().err)["kind"] == "InvalidParameterError"
+    def test_bad_continuation_section_rejected(self, tmp_path, capsys, flags, kind):
+        # an unknown target is a malformed command line; a negative step
+        # count is refused by the continuation itself
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "x")
+        assert main(["continue", "--config", str(cfg), *flags]) == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == kind
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("missing", ["--target", "--steps"])
+    def test_target_and_steps_required(self, tmp_path, capsys, missing):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "x")
+        flags = {"--target": "p-upper", "--steps": "1"}
+        del flags[missing]
+        argv = ["continue", "--config", str(cfg), *(t for kv in flags.items() for t in kv)]
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "ConfigError"
+        assert missing in error["error"]
 
 
 class TestContinueDichotomyRow:
@@ -199,8 +245,7 @@ class TestThresholdCommand:
             params={"N": 3, "alpha": 2.0, "p": 5.0, "q": 3.0, "mu": 1.0, "lambda": 1.0},
         )
         code = main([
-            "threshold", "--config", str(cfg), "--case", "upper-critical-p",
-            "--family", "0.25,0.125", "--nodes", "512",
+            "threshold", "--config", str(cfg), "--family", "0.25,0.125", "--nodes", "512",
         ])
         assert code == 0
         doc = json.loads((out_dir / "margins.json").read_text())
@@ -209,12 +254,68 @@ class TestThresholdCommand:
         # margins at lambda=1, N=3, q=3 are nonpositive
         assert all(row["margin"] < 0 for row in doc["families"]["bubble"])
 
+    @pytest.mark.parametrize(
+        "params, family",
+        [
+            pytest.param({"p": 5.0, "q": 3.0}, [0.25, 0.125], id="upper-critical-p"),
+            pytest.param({"p": 5.0 / 3.0, "q": 2.5}, [0.5, 1.0], id="lower-critical-p"),
+            pytest.param(
+                {"p": 5.0 / 3.0, "q": 6.0, "mu": 10.0, "lambda": 10.0}, [0.5, 0.25],
+                id="doubly-critical",
+            ),
+        ],
+    )
+    def test_case_read_from_params(self, tmp_path, capsys, params, family):
+        out_dir = tmp_path / "thresh"
+        cfg = write_config(tmp_path / "cfg.json", out_dir, params=params)
+        argv = ["threshold", "--config", str(cfg), "--family", ",".join(map(repr, family))]
+        assert main([*argv, "--nodes", "256"]) == 0
+        config = load_config(cfg)
+        case = critical_case(config.params, CASE_TOL)
+        expected = threshold_check(config.params, case, family, num_nodes=256)
+        doc = json.loads((out_dir / "margins.json").read_text())
+        assert doc["case"] == case
+        assert doc == json.loads(json.dumps(expected.to_dict()))
+
+    @pytest.mark.parametrize(
+        "params", [{"p": 5.0, "q": 6.0}, {"p": 2.0, "q": 3.0}], ids=["upper-corner", "subcritical"]
+    )
+    def test_no_threshold_case_exit(self, tmp_path, capsys, params):
+        # the message names the critical exponents the params miss
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "x", params=params)
+        assert main(["threshold", "--config", str(cfg), "--family", "0.25"]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "CaseMismatchError"
+        for name in ("p_lower = 1.6666666666666667", "p_upper = 5.0", "q_upper = 6.0"):
+            assert name in error["error"]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"p": 2.5, "q": 6.0, "lambda": 0.0}, {"p": 5.0 / 3.0, "q": 6.0, "lambda": 0.0}],
+        ids=["critical-q", "doubly-critical"],
+    )
+    def test_sobolev_case_at_zero_lambda_refused(self, tmp_path, capsys, params):
+        # S^{N/2} lambda^{-(N-2)/2} / N has no value at lambda = 0
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "x", params=params)
+        assert main(["threshold", "--config", str(cfg), "--family", "0.25"]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "InvalidParameterError"
+        assert "lambda > 0" in error["error"]
+        assert not (tmp_path / "x" / "margins.json").exists()
+
+    def test_threshold_overflow_refused(self, tmp_path, capsys):
+        # mu^{-N/alpha} = 1e9000 at the lower-critical p
+        params = {"alpha": 0.1, "p": 3.1 / 3.0, "q": 3.0, "mu": 1e-300}
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "x", params=params)
+        assert main(["threshold", "--config", str(cfg), "--family", "0.5", "--nodes", "64"]) == 3
+        error = json.loads(capsys.readouterr().err)
+        assert error["kind"] == "InvalidParameterError"
+        assert "threshold leaves the float range" in error["error"]
+
     def test_wrong_case_exit(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "x")
-        code = main([
-            "threshold", "--config", str(cfg), "--case", "upper-critical-p",
-            "--family", "0.25",
-        ])
+        code = main(["threshold", "--config", str(cfg), "--family", "0.25"])
         assert code == 3
 
 
@@ -375,12 +476,17 @@ class TestMalformedInput:
             pytest.param(
                 "solve", {"solve": {"enforce_nonneg": True}}, [], id="solve-enforce-nonneg-removed"
             ),
+            pytest.param("solve", {"solve": {"init": "gaussian"}}, [], id="solve-init-removed"),
             pytest.param(
-                "threshold", {}, ["--case", "upper-critical-p", "--family", "0.25,x"],
+                "continue", {"solve": {"continuation": {"target": "p-upper", "steps": 1}}},
+                ["--target", "p-upper", "--steps", "1"], id="solve-continuation-removed",
+            ),
+            pytest.param(
+                "threshold", {}, ["--family", "0.25,x"],
                 id="family-not-a-number",
             ),
             pytest.param(
-                "threshold", {}, ["--case", "upper-critical-p", "--family", "0.25", "--nodes", "x"],
+                "threshold", {}, ["--family", "0.25", "--nodes", "x"],
                 id="option-not-a-number",
             ),
         ],

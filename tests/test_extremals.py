@@ -28,7 +28,8 @@ from choquard.extremals import (
     pekar_extremal,
     asymptotic_suite,
 )
-from choquard.functionals import breakdown
+from choquard import functionals
+from choquard.functionals import breakdown, integrals, reduced_energy
 from choquard.verify import CRITICAL_GAP
 from choquard.grid import RadialField
 
@@ -344,6 +345,25 @@ class TestThresholdCheck:
         assert set(report.families) == {"pekar", "bubble"}
         assert set(report.thresholds) == {"lower_critical", "sobolev"}
 
+    def test_pekar_normalized_once_per_mesh(self, monkeypatch):
+        params = Params(N=3, alpha=2.0, p=5.0 / 3.0, q=6.0, mu=10.0, lam=10.0)
+        deltas = [0.5, 0.25]
+        calls = []
+
+        def counted(values, trial, kern):
+            calls.append(trial)
+            return integrals(values, trial, kern)
+
+        monkeypatch.setattr(functionals, "integrals", counted)
+        report = threshold_check(params, "doubly-critical", deltas, num_nodes=512)
+        monkeypatch.undo()
+        assert len(calls) == 1 + 2 * len(deltas)  # the normalization, then each member
+        grid = build_grid(3, 30.0, 512, scheme="graded")
+        lower = report.thresholds["lower_critical"]
+        for delta, row in zip(deltas, report.families["pekar"]):
+            sup = reduced_energy(pekar_extremal(grid, delta, params.alpha), params)
+            assert (row.sup_level, row.margin) == (sup, lower - sup)
+
     def test_classify_margins_inconclusive_on_zero(self):
         verdict = classify_margins([0.5, 0.0, -0.2], threshold=1.0)
         assert verdict["inconclusive"] is True
@@ -388,7 +408,7 @@ class TestParameterSearch:
         params = Params(N=3, alpha=2.0, p=5.0, q=3.0)
         wobble = iter([0.5, -1.0, 0.2, -0.5, 0.9])
 
-        def fake_check(trial, case, family, num_nodes):
+        def fake_margins(trial, case, family, families):
             margin = next(wobble)
             row = ex.MarginRow(family[0], 0.0, margin)
             return ex.MarginReport(
@@ -397,7 +417,7 @@ class TestParameterSearch:
                 positive_margin_found=margin > 0,
             )
 
-        monkeypatch.setattr(ex, "threshold_check", fake_check)
+        monkeypatch.setattr(ex, "_margin_report", fake_margins)
         from choquard.errors import NonMonotoneMarginError
 
         with pytest.raises(NonMonotoneMarginError) as err:
@@ -405,6 +425,28 @@ class TestParameterSearch:
                 params, "lambda", "upper-critical-p", [0.25], bracket=(1.0, 100.0)
             )
         assert len(err.value.samples) == 5
+
+    def test_integrals_taken_once_per_family_member(self, monkeypatch):
+        # integrals read neither mu nor lambda, so the search takes one
+        # breakdown per eps and every sample is threshold_check's margin
+        params = Params(N=3, alpha=2.0, p=5.0, q=3.0)
+        eps = [2.0**-k for k in range(2, 7)]
+        calls = []
+
+        def counted(values, trial, kern):
+            calls.append(trial)
+            return integrals(values, trial, kern)
+
+        monkeypatch.setattr(functionals, "integrals", counted)
+        res = critical_parameter_search(
+            params, "lambda", "upper-critical-p", eps, bracket=(1.0, 1e6), num_nodes=1024
+        )
+        assert len(calls) <= len(eps)
+        monkeypatch.undo()
+        assert len(res.margin_samples) == 5
+        for lam, margin in res.margin_samples:
+            report = threshold_check(params.with_(lam=lam), "upper-critical-p", eps, 1024)
+            assert margin == max(row.margin for row in report.families["bubble"])
 
     def test_n4_returns_zero_bracket(self):
         params = Params(N=4, alpha=1.0, p=2.5, q=3.0)

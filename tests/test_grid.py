@@ -281,6 +281,26 @@ class TestFieldIO:
             oracle = "r,u\r\n" + "".join(map("{!r},{!r}\r\n".format, nodes, values))
             assert path.read_bytes() == oracle.encode()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x,y,z\r\n1.0,2.0,3.0\r\n2.0,3.0,4.0\r\n",
+            "r,u,v\r\n1.0,2.0,3.0\r\n",
+            "r,u\r\n1.0,2.0,3.0\r\n2.0,3.0,4.0\r\n",
+            "r,u\r\n1.0,2.0\r\n2.0,3.0,4.0\r\n",
+            "r,u\r\n1.0\r\n2.0\r\n",
+            "1.0,2.0\r\n2.0,3.0\r\n",
+            "",
+        ],
+        ids=["three-columns", "three-names", "rows-of-three", "ragged", "one-column",
+             "no-header", "empty"],
+    )
+    def test_profile_reader_refuses_other_files(self, tmp_path, text):
+        path = tmp_path / "profile.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError):
+            read_profile_csv(path)
+
     def test_field_validation(self):
         g = build_grid(3, 5.0, 64)
         with pytest.raises(InvalidParameterError):

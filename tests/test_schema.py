@@ -20,10 +20,7 @@ PARAMS = {"N": 3, "alpha": 2.0, "p": 2.0, "q": 3.0, "mu": 1.0, "lambda": 1.0}
 CONFIG = {
     "params": PARAMS,
     "grid": {"rmax": 30.0, "M": 512, "scheme": "graded", "gamma": 2.0},
-    "solve": {
-        "tol_residual": 1e-6, "max_iter": 500, "init": "gaussian",
-        "continuation": {"target": "q-upper", "steps": 2},
-    },
+    "solve": {"tol_residual": 1e-6, "max_iter": 500},
     "output_dir": "runs/x",
     "seed": 7,
     "sweep": {"p": [2.0, 2.2], "q": [3.0], "lambda": [0.5, 1.0], "parallelism": 1},
